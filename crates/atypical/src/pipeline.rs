@@ -217,6 +217,7 @@ pub fn build_forest_from_store(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cps_core::ScratchDir;
     use cps_sim::{Scale, SimConfig, TrafficSim};
 
     fn sim() -> TrafficSim {
@@ -258,8 +259,7 @@ mod tests {
 
     #[test]
     fn store_and_memory_paths_agree() {
-        let root = std::env::temp_dir().join(format!("atypical-pipeline-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
+        let root = ScratchDir::new("pipeline");
         let config = SimConfig::new(Scale::Tiny, 21)
             .with_datasets(1)
             .with_days_per_dataset(3);
@@ -292,7 +292,6 @@ mod tests {
                 "day {day}"
             );
         }
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

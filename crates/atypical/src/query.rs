@@ -377,6 +377,7 @@ impl<'a> QueryEngine<'a> {
 mod tests {
     use super::*;
     use crate::feature::{SpatialFeature, TemporalFeature};
+    use cps_core::ScratchDir;
     use cps_core::{ClusterId, Severity, TimeWindow, WindowSpec};
     use cps_geo::point::LOS_ANGELES;
     use cps_geo::UniformGrid;
@@ -576,12 +577,7 @@ mod tests {
         let queries = [Query::days(0, 14), Query::days(2, 7).in_bbox(bbox)];
 
         for backend in [StoreBackend::Row, StoreBackend::Columnar] {
-            let dir = std::env::temp_dir().join(format!(
-                "atypical-query-stored-{}-{}",
-                backend.name(),
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
+            let dir = ScratchDir::new("query-stored");
             let store = ForestStore::open_with_backend(&dir, Io::real(), backend).unwrap();
             store.save_forest_days(&fx.forest).unwrap();
 
@@ -610,7 +606,6 @@ mod tests {
                     }
                 }
             }
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 
@@ -633,8 +628,7 @@ mod tests {
             fx.forest.insert_day(day, micros);
         }
         let engine = QueryEngine::new(&fx.network, &fx.partition, params);
-        let dir = std::env::temp_dir().join(format!("atypical-pru-push-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = ScratchDir::new("pru-push");
         let store = ForestStore::open(&dir).unwrap();
         store.save_forest_days(&fx.forest).unwrap();
 
@@ -653,6 +647,5 @@ mod tests {
             "quiet days must be skipped whole: {delta:?}"
         );
         assert!(delta.bytes_decoded < delta.bytes_read);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -766,6 +766,7 @@ impl ForestStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cps_core::ScratchDir;
     use cps_core::{Params, WindowSpec};
 
     fn cluster(id: u64, base: u32, n: u32) -> AtypicalCluster {
@@ -778,36 +779,28 @@ mod tests {
         AtypicalCluster::new(ClusterId::new(id), sf, tf)
     }
 
-    fn tmp(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("atypical-store-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        d
-    }
-
     #[test]
     fn roundtrip_preserves_clusters_exactly() {
-        let dir = tmp("roundtrip");
+        let dir = ScratchDir::new("roundtrip");
         let clusters: Vec<AtypicalCluster> =
             (0..20).map(|i| cluster(i, (i as u32) * 3, 5)).collect();
         let path = dir.join("x.acf");
         write_clusters(&path, &clusters).unwrap();
         let back = read_clusters(&path).unwrap();
         assert_eq!(clusters, back);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn empty_set_roundtrips() {
-        let dir = tmp("empty");
+        let dir = ScratchDir::new("empty");
         let path = dir.join("x.acf");
         write_clusters(&path, &[]).unwrap();
         assert!(read_clusters(&path).unwrap().is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corruption_is_detected() {
-        let dir = tmp("corrupt");
+        let dir = ScratchDir::new("corrupt");
         let path = dir.join("x.acf");
         write_clusters(&path, &[cluster(1, 0, 4)]).unwrap();
         let mut raw = std::fs::read(&path).unwrap();
@@ -816,12 +809,11 @@ mod tests {
         std::fs::write(&path, raw).unwrap();
         let err = read_clusters(&path).unwrap_err();
         assert!(err.to_string().contains("checksum"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn truncation_at_every_byte_boundary_is_a_corrupt_error() {
-        let dir = tmp("truncate");
+        let dir = ScratchDir::new("truncate");
         let path = dir.join("x.acf");
         let clusters: Vec<AtypicalCluster> =
             (0..3).map(|i| cluster(i, (i as u32) * 4, 4)).collect();
@@ -841,22 +833,19 @@ mod tests {
                 ),
             }
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn garbage_header_is_rejected() {
-        let dir = tmp("garbage");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("garbage");
         let path = dir.join("x.acf");
         std::fs::write(&path, b"not a cluster file").unwrap();
         assert!(read_clusters(&path).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn forest_store_levels_and_buckets() {
-        let dir = tmp("levels");
+        let dir = ScratchDir::new("levels");
         let store = ForestStore::open(&dir).unwrap();
         store
             .save(ForestLevel::Day, 3, &[cluster(1, 0, 3)])
@@ -878,12 +867,11 @@ mod tests {
         let loaded = store.load(ForestLevel::Week, 0).unwrap().unwrap();
         assert_eq!(loaded[0].id, ClusterId::new(3));
         assert!(store.load(ForestLevel::Month, 0).unwrap().is_none());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn forest_persistence_roundtrip() {
-        let dir = tmp("forest");
+        let dir = ScratchDir::new("forest");
         let store = ForestStore::open(&dir).unwrap();
         let spec = WindowSpec::PEMS;
         let params = Params::paper_defaults();
@@ -896,12 +884,11 @@ mod tests {
         assert_eq!(loaded.num_micro_clusters(), 3);
         assert_eq!(loaded.day(0), forest.day(0));
         assert_eq!(loaded.day(1), forest.day(1));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn columnar_roundtrip_preserves_order_exactly() {
-        let dir = tmp("col-roundtrip");
+        let dir = ScratchDir::new("col-roundtrip");
         // Deliberately unsorted sensor bases so the chunk sort permutes,
         // and the position column must restore insertion order.
         let clusters: Vec<AtypicalCluster> = (0..100)
@@ -912,25 +899,23 @@ mod tests {
         write_clusters_columnar_with(&io, &path, &clusters).unwrap();
         let back = read_clusters_columnar_with(&io, &path, None).unwrap();
         assert_eq!(clusters, back);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn columnar_empty_set_roundtrips() {
-        let dir = tmp("col-empty");
+        let dir = ScratchDir::new("col-empty");
         let path = dir.join("x.acs");
         let io = Io::real();
         write_clusters_columnar_with(&io, &path, &[]).unwrap();
         assert!(read_clusters_columnar_with(&io, &path, None)
             .unwrap()
             .is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn row_and_columnar_backends_agree() {
-        let dir_r = tmp("diff-row");
-        let dir_c = tmp("diff-col");
+        let dir_r = ScratchDir::new("diff-row");
+        let dir_c = ScratchDir::new("diff-col");
         let row = ForestStore::open_with_backend(&dir_r, Io::real(), StoreBackend::Row).unwrap();
         let col =
             ForestStore::open_with_backend(&dir_c, Io::real(), StoreBackend::Columnar).unwrap();
@@ -943,8 +928,6 @@ mod tests {
         let from_col = col.load(ForestLevel::Day, 0).unwrap().unwrap();
         assert_eq!(from_row, from_col);
         assert_eq!(from_row, clusters);
-        let _ = std::fs::remove_dir_all(&dir_r);
-        let _ = std::fs::remove_dir_all(&dir_c);
     }
 
     #[test]
@@ -965,7 +948,7 @@ mod tests {
                 .with_severity_above(Severity::from_secs(100)),
         ];
         for backend in [StoreBackend::Row, StoreBackend::Columnar] {
-            let dir = tmp(&format!("filter-{}", backend.name()));
+            let dir = ScratchDir::new(&format!("filter-{}", backend.name()));
             let store = ForestStore::open_with_backend(&dir, Io::real(), backend).unwrap();
             store.save(ForestLevel::Day, 0, &clusters).unwrap();
             for pred in &preds {
@@ -981,13 +964,12 @@ mod tests {
                 assert_eq!(got.clusters, want, "{} {pred:?}", backend.name());
                 assert_eq!(got.total, clusters.len());
             }
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 
     #[test]
     fn selective_predicate_skips_chunks_without_changing_results() {
-        let dir = tmp("skip");
+        let dir = ScratchDir::new("skip");
         let store = ForestStore::open(&dir).unwrap();
         // Enough clusters for several chunks, tight per-cluster sensor
         // spans so zone maps are selective after the chunk sort.
@@ -1014,12 +996,11 @@ mod tests {
             .collect();
         assert!(!want.is_empty());
         assert_eq!(got.clusters, want);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn hopeless_predicate_skips_whole_segment() {
-        let dir = tmp("seg-skip");
+        let dir = ScratchDir::new("seg-skip");
         let store = ForestStore::open(&dir).unwrap();
         let clusters: Vec<AtypicalCluster> = (0..10).map(|i| cluster(i, i as u32, 3)).collect();
         store.save(ForestLevel::Day, 0, &clusters).unwrap();
@@ -1034,12 +1015,11 @@ mod tests {
         assert_eq!(got.total, 10);
         assert_eq!(delta.segments_skipped, 1);
         assert_eq!(delta.bytes_decoded, 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn columnar_store_reads_legacy_row_buckets() {
-        let dir = tmp("migrate");
+        let dir = ScratchDir::new("migrate");
         let clusters: Vec<AtypicalCluster> = (0..12).map(|i| cluster(i, i as u32 * 2, 3)).collect();
         // Write with the legacy row backend...
         {
@@ -1064,7 +1044,6 @@ mod tests {
         assert!(store.bucket_path(ForestLevel::Day, 7).exists());
         assert!(!dir.join("clusters").join("day-00007.acf").exists());
         assert_eq!(store.load(ForestLevel::Day, 7).unwrap().unwrap(), clusters);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1078,7 +1057,7 @@ mod tests {
 
     #[test]
     fn columnar_corruption_and_truncation_are_typed_errors() {
-        let dir = tmp("col-corrupt");
+        let dir = ScratchDir::new("col-corrupt");
         let path = dir.join("x.acs");
         let io = Io::real();
         let clusters: Vec<AtypicalCluster> = (0..8).map(|i| cluster(i, i as u32 * 5, 3)).collect();
@@ -1102,6 +1081,5 @@ mod tests {
                 Ok(_) => panic!("truncation at byte {len} went undetected"),
             }
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,9 +1,10 @@
 //! Monitor throughput: one simulated day pushed through the sharded
-//! service end-to-end (ingest → shard workers → merger), at several shard
-//! counts, against the single-threaded extractor baseline.
+//! service end-to-end (ingest → shard workers → merger) one batch per
+//! window, at several shard counts, against the single-threaded extractor
+//! baseline.
 
 use atypical::online::OnlineExtractor;
-use cps_core::Params;
+use cps_core::{Params, RecordBatch};
 use cps_monitor::{MonitorConfig, MonitorService};
 use cps_sim::{Scale, SimConfig, TrafficSim};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -14,6 +15,10 @@ fn bench_monitor_throughput(c: &mut Criterion) {
     let sim = TrafficSim::new(SimConfig::new(Scale::Small, 7));
     let mut records = sim.atypical_day(0);
     records.sort_by_key(|r| (r.window, r.sensor));
+    let batches: Vec<RecordBatch> = records
+        .chunk_by(|a, b| a.window == b.window)
+        .map(RecordBatch::from_records)
+        .collect();
     let network = Arc::new(sim.network().clone());
     let spec = sim.config().spec;
     let params = Params::paper_defaults();
@@ -46,8 +51,8 @@ fn bench_monitor_throughput(c: &mut Criterion) {
                 b.iter(|| {
                     let mut service =
                         MonitorService::start(&config, network.clone()).expect("service starts");
-                    for &r in &records {
-                        service.ingest(r).expect("window-ordered feed");
+                    for batch in &batches {
+                        service.ingest_batch(batch).expect("window-ordered feed");
                     }
                     black_box(service.finish())
                 })

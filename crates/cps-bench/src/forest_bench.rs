@@ -244,6 +244,7 @@ pub fn save_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cps_core::ScratchDir;
 
     #[test]
     fn tiny_sweep_is_bit_identical_and_saves() {
@@ -261,7 +262,7 @@ mod tests {
         assert_eq!(results[0].threads, 1);
         assert_eq!(results[1].threads, 3);
 
-        let dir = std::env::temp_dir().join(format!("cps-bench-forest-{}", std::process::id()));
+        let dir = ScratchDir::new("bench-forest");
         let path = dir.join("BENCH_forest_test.json");
         save_json(&results, &config, &path).expect("save json");
         let text = std::fs::read_to_string(&path).expect("read back");
@@ -275,6 +276,5 @@ mod tests {
             serde::get_field(entries, "host_cpus"),
             serde::Value::U64(n) if *n >= 1
         ));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -246,6 +246,7 @@ pub fn save_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cps_core::ScratchDir;
 
     #[test]
     fn sparse_clusters_are_valid_and_deterministic() {
@@ -274,7 +275,7 @@ mod tests {
                 "inputs must be sparse"
             );
         }
-        let dir = std::env::temp_dir().join(format!("cps-bench-integrate-{}", std::process::id()));
+        let dir = ScratchDir::new("bench-integrate");
         let path = dir.join("BENCH_integrate_test.json");
         save_json(&results, &config, &path).expect("save json");
         let text = std::fs::read_to_string(&path).expect("read back");
@@ -284,6 +285,5 @@ mod tests {
             .as_array()
             .expect("sizes array");
         assert_eq!(sizes.len(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -25,15 +25,14 @@
 //! recovery rows show replay cost growing with the un-checkpointed
 //! suffix, which is exactly what `checkpoint_interval_records` bounds.
 
-use cps_core::{AtypicalRecord, RecordBatch, Severity, TimeWindow};
+use cps_core::{AtypicalRecord, RecordBatch, ScratchDir, Severity, TimeWindow};
 use cps_monitor::{
     AdmissionConfig, DurabilityConfig, FsyncPolicy, MonitorConfig, MonitorService, OverflowPolicy,
     RecoveryReport,
 };
 use cps_sim::{build_source, Domain, Scale, SimConfig, Source, SourceConfig};
 use cps_testkit::{FaultIo, FaultKind, FaultPlan};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -169,19 +168,6 @@ pub struct RecoveryBenchReport {
     pub feed_records: u64,
 }
 
-/// A fresh directory under the system temp root, unique per call so
-/// repeated iterations never see each other's WAL state.
-fn fresh_dir(tag: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "cps-bench-recovery-{}-{tag}-{n}",
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).expect("create bench temp dir");
-    dir
-}
-
 /// The domain-matched skewed companion source for the batched sweep:
 /// traffic concentrates the extra event mass on a hot region, audit
 /// pushes the hot-actor incident share up; infrastructure and
@@ -224,7 +210,7 @@ fn monitor_config(
     }
 }
 
-fn durability_for(mode: &str, wal_dir: Option<PathBuf>) -> DurabilityConfig {
+fn durability_for(mode: &str, wal_dir: &Option<ScratchDir>) -> DurabilityConfig {
     let fsync = match mode {
         "off" => FsyncPolicy::Never,
         "fsync-each" => FsyncPolicy::Always,
@@ -232,7 +218,7 @@ fn durability_for(mode: &str, wal_dir: Option<PathBuf>) -> DurabilityConfig {
         other => unreachable!("unknown ingest mode {other}"),
     };
     DurabilityConfig {
-        wal_dir,
+        wal_dir: wal_dir.as_ref().map(|d| d.to_path_buf()),
         fsync,
         ..DurabilityConfig::default()
     }
@@ -328,7 +314,10 @@ fn timed_ingest_batched(
     }
     service.finish();
     let ms = start.elapsed().as_secs_f64() * 1e3;
-    (ms, canonical_micros(&handle.live_micro_clusters()))
+    (
+        ms,
+        canonical_micros(&handle.read_view().live_micro_clusters()),
+    )
 }
 
 /// Feeds the whole stream with group commit on and the checkpoint
@@ -356,9 +345,9 @@ fn timed_recovery(
         "suffix fractions in (0.5, 1.0) would fire a second checkpoint"
     );
 
-    let wal_dir = fresh_dir("rec");
+    let wal_dir = ScratchDir::new("bench-recovery-rec");
     let durability = DurabilityConfig {
-        wal_dir: Some(wal_dir.clone()),
+        wal_dir: Some(wal_dir.to_path_buf()),
         fsync: FsyncPolicy::Group,
         checkpoint_interval_records: interval,
         ..DurabilityConfig::default()
@@ -379,7 +368,6 @@ fn timed_recovery(
         MonitorService::recover(&mc, network.clone()).expect("recovery succeeds");
     let ms = start.elapsed().as_secs_f64() * 1e3;
     drop(recovered);
-    let _ = std::fs::remove_dir_all(&wal_dir);
     (interval, ms, report)
 }
 
@@ -424,12 +412,12 @@ fn measure_degradation(
             })
             .collect(),
     );
-    let wal_dir = fresh_dir("degraded");
+    let wal_dir = ScratchDir::new("bench-recovery-degraded");
     let mut mc = monitor_config(
         config,
         late_sim.as_ref(),
         DurabilityConfig {
-            wal_dir: Some(wal_dir.clone()),
+            wal_dir: Some(wal_dir.to_path_buf()),
             fsync: FsyncPolicy::Group,
             group_commit_records: 8,
             checkpoint_interval_records: 200,
@@ -458,7 +446,6 @@ fn measure_degradation(
     }
     let snapshot = service.finish();
     let faulted_ingest_ms = start.elapsed().as_secs_f64() * 1e3;
-    let _ = std::fs::remove_dir_all(&wal_dir);
 
     assert_eq!(fault.pending_plans(), 0, "all planted faults must fire");
     assert!(
@@ -533,13 +520,10 @@ pub fn run(config: &RecoveryBenchConfig) -> RecoveryBenchReport {
         .map(|&mode| {
             let mut best_ms = f64::INFINITY;
             for _ in 0..iters {
-                let wal_dir = (mode != "off").then(|| fresh_dir("ingest"));
-                let mc =
-                    monitor_config(config, sim.as_ref(), durability_for(mode, wal_dir.clone()));
+                // A directory per iteration, so none sees another's WAL.
+                let wal_dir = (mode != "off").then(|| ScratchDir::new("bench-recovery-ingest"));
+                let mc = monitor_config(config, sim.as_ref(), durability_for(mode, &wal_dir));
                 best_ms = best_ms.min(timed_ingest(&mc, &network, &records));
-                if let Some(dir) = wal_dir {
-                    let _ = std::fs::remove_dir_all(&dir);
-                }
             }
             let r = IngestResult {
                 mode,
@@ -632,15 +616,11 @@ pub fn run(config: &RecoveryBenchConfig) -> RecoveryBenchReport {
                 let mut best_ms = f64::INFINITY;
                 let mut state = None;
                 for _ in 0..iters {
-                    let wal_dir = (mode != "off").then(|| fresh_dir("batch"));
-                    let mc =
-                        monitor_config(config, sim.as_ref(), durability_for(mode, wal_dir.clone()));
+                    let wal_dir = (mode != "off").then(|| ScratchDir::new("bench-recovery-batch"));
+                    let mc = monitor_config(config, sim.as_ref(), durability_for(mode, &wal_dir));
                     let (ms, fp) = timed_ingest_batched(&mc, net, feed, batch_size);
                     best_ms = best_ms.min(ms);
                     state.get_or_insert(fp);
-                    if let Some(dir) = wal_dir {
-                        let _ = std::fs::remove_dir_all(&dir);
-                    }
                 }
                 let state = state.expect("at least one iteration ran");
                 let rate = feed.len() as f64 / (best_ms / 1e3);
@@ -859,7 +839,8 @@ mod tests {
             assert!(r.replayed_records < report.feed_records);
         }
 
-        let path = fresh_dir("test").join("BENCH_recovery_test.json");
+        let dir = ScratchDir::new("bench-recovery-test");
+        let path = dir.join("BENCH_recovery_test.json");
         save_json(&report, &config, &path).expect("save json");
         let text = std::fs::read_to_string(&path).expect("read back");
         let doc: serde::Value = serde_json::from_str(&text).expect("valid json");
@@ -919,7 +900,8 @@ mod tests {
         assert_eq!(report.recovery.len(), 4);
         assert_eq!(report.batched.len(), 16);
 
-        let path = fresh_dir("test-audit").join("BENCH_recovery_audit_test.json");
+        let dir = ScratchDir::new("bench-recovery-test-audit");
+        let path = dir.join("BENCH_recovery_audit_test.json");
         save_json(&report, &config, &path).expect("save json");
         let text = std::fs::read_to_string(&path).expect("read back");
         let doc: serde::Value = serde_json::from_str(&text).expect("valid json");

@@ -37,15 +37,14 @@ use atypical::pipeline::build_forest_from_records;
 use atypical::store::{ForestStore, StoreBackend};
 use atypical::{AtypicalForest, Query, QueryEngine, QueryResult, Strategy, QUERY_ID_BASE};
 use cps_core::ids::ClusterIdGen;
-use cps_core::{Params, Severity, WindowSpec};
+use cps_core::{Params, ScratchDir, Severity, WindowSpec};
 use cps_geo::grid::SensorPartition;
 use cps_geo::{BoundingBox, RoadNetwork, UniformGrid};
 use cps_serve::{LiveSnapshot, ReadView, ServeContext};
 use cps_sim::{build_source, Domain, Scale, SimConfig, SourceConfig};
 use cps_storage::{Io, IoSnapshot};
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -137,18 +136,6 @@ pub struct SegmentBenchReport {
     /// Largest decode reduction among the selective cells — the
     /// headline number.
     pub best_selective_reduction: f64,
-}
-
-/// A fresh directory under the system temp root, unique per call.
-fn fresh_dir(tag: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "cps-bench-segment-{}-{tag}-{n}",
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).expect("create bench temp dir");
-    dir
 }
 
 /// Runs `f` `iters` times against `store`, keeping the best wall-clock;
@@ -304,7 +291,7 @@ fn run_scenario(config: &SegmentBenchConfig, scenario: &'static str) -> Vec<Cell
 
     let mut stores = Vec::new();
     for backend in [StoreBackend::Row, StoreBackend::Columnar] {
-        let dir = fresh_dir(&format!("{scenario}-{}", backend.name()));
+        let dir = ScratchDir::new(&format!("bench-segment-{scenario}-{}", backend.name()));
         let store = Arc::new(
             ForestStore::open_with_backend(&dir, Io::real(), backend).expect("store opens"),
         );
@@ -428,9 +415,6 @@ fn run_scenario(config: &SegmentBenchConfig, scenario: &'static str) -> Vec<Cell
         cells.push(cell);
     }
 
-    for (_, dir) in &stores {
-        let _ = std::fs::remove_dir_all(dir);
-    }
     cells
 }
 
@@ -573,7 +557,8 @@ mod tests {
         assert_eq!(control.columnar.segments_skipped, 0);
         assert_eq!(control.columnar.chunks_skipped, 0);
 
-        let path = fresh_dir("test").join("BENCH_segments_test.json");
+        let dir = ScratchDir::new("bench-segment-test");
+        let path = dir.join("BENCH_segments_test.json");
         save_json(&report, &config, &path).expect("save json");
         let text = std::fs::read_to_string(&path).expect("read back");
         let doc: serde::Value = serde_json::from_str(&text).expect("valid json");

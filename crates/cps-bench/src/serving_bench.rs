@@ -5,14 +5,15 @@
 //! (the security-log-style workload where a small slice of the deployment
 //! produces most of the incident volume) through the sharded monitor
 //! while closed-loop reader threads hammer the query surface, through
-//! each of the three read paths:
+//! both faces of the read path:
 //!
-//! - `mutex` — [`MonitorHandle`]'s live-state methods, contending with
-//!   the merger for the lock;
 //! - `snapshot` — a pinned lock-free [`ReadView`] per iteration, queries
 //!   recomputed every time;
 //! - `snapshot-cached` — [`ServeHandle`], the snapshot path with the
 //!   sharded result cache in front.
+//!
+//! (The `mutex` rows of the committed `BENCH_query_serving.json` are
+//! historical: that read path no longer exists.)
 //!
 //! ```text
 //! repro query-serving --threads 1,4,8     # seed-42 → BENCH_query_serving.json
@@ -25,13 +26,17 @@
 //! plus one day's micro-clusters). Each cell reports per-mix reader
 //! p50/p99 latency, ingest throughput against the no-readers baseline,
 //! and — on the cached path — the hit/miss/stale counters. The run ends
-//! with a quiescent cross-check that the cached, uncached, and mutex
-//! answers are identical.
+//! with a quiescent cross-check that the cached and uncached answers are
+//! identical and equal the batch recomputation of
+//! [`cps_testkit::reference_guided`].
 
+use cps_core::ScratchDir;
+use cps_geo::UniformGrid;
 use cps_monitor::{CacheStats, MonitorConfig, MonitorHandle, MonitorService, OverflowPolicy};
 use cps_sim::{build_source, Domain, Scale, SimConfig, Source, SourceConfig};
+use cps_testkit::reference_guided;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -40,11 +45,9 @@ const MIXES: [&str; 2] = ["dashboard", "drilldown"];
 const DASHBOARD: usize = 0;
 const DRILLDOWN: usize = 1;
 
-/// Which read path a measurement exercises.
+/// Which face of the read path a measurement exercises.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReadPath {
-    /// Live-state queries under the merger's mutex.
-    Mutex,
     /// A pinned [`cps_monitor::ReadView`], recomputed per query.
     Snapshot,
     /// [`cps_monitor::ServeHandle`]: snapshot path + result cache.
@@ -55,7 +58,6 @@ impl ReadPath {
     /// Row label in the artifact.
     pub fn name(self) -> &'static str {
         match self {
-            ReadPath::Mutex => "mutex",
             ReadPath::Snapshot => "snapshot",
             ReadPath::SnapshotCached => "snapshot-cached",
         }
@@ -182,22 +184,9 @@ pub struct ServingBenchReport {
     pub results: Vec<ServingResult>,
     /// The deadline-bounded query smoke.
     pub deadline: DeadlineSmokeResult,
-    /// Whether the quiescent cached/uncached/mutex cross-check passed
+    /// Whether the quiescent cached/uncached/reference cross-check passed
     /// (it panics on mismatch, so a saved artifact always says `true`).
     pub consistency_ok: bool,
-}
-
-/// A fresh directory under the system temp root, unique per call so
-/// repeated cells never see each other's sealed-day store.
-fn fresh_dir(tag: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "cps-bench-serving-{}-{tag}-{n}",
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).expect("create bench temp dir");
-    dir
 }
 
 fn feed_records(config: &ServingBenchConfig, sim: &dyn Source) -> Vec<cps_core::AtypicalRecord> {
@@ -232,8 +221,8 @@ fn monitor_config(
 /// when ingest outruns thread scheduling. Returns `(mix, µs)` samples.
 ///
 /// The sealed-day prefix is discovered from a lock-free snapshot pin on
-/// every path (one atomic load; it answers no query), so all three paths
-/// aim the same mixes at the same ranges: dashboard queries cover the
+/// both paths (one atomic load; it answers no query), so both aim the
+/// same mixes at the same ranges: dashboard queries cover the
 /// most recent *complete sealed week* (the bounded trailing window a
 /// trends panel actually polls — stable across seven seals, which is what
 /// lets immutable cache entries get re-hit), drill-downs rotate across
@@ -259,7 +248,6 @@ fn reader_loop(
 
         let t = Instant::now();
         match path {
-            ReadPath::Mutex => drop(handle.red_regions(first, n)),
             ReadPath::Snapshot => drop(view.red_regions(first, n)),
             ReadPath::SnapshotCached => drop(serve.red_regions(first, n)),
         }
@@ -267,7 +255,6 @@ fn reader_loop(
 
         let t = Instant::now();
         match path {
-            ReadPath::Mutex => drop(handle.significant_clusters(first, n).expect("query")),
             ReadPath::Snapshot => drop(view.significant_clusters(first, n).expect("query")),
             ReadPath::SnapshotCached => drop(serve.significant_clusters(first, n).expect("query")),
         }
@@ -275,7 +262,6 @@ fn reader_loop(
 
         let t = Instant::now();
         match path {
-            ReadPath::Mutex => drop(handle.query_guided(drill_day, 1).expect("query")),
             ReadPath::Snapshot => drop(view.query_guided(drill_day, 1).expect("query")),
             ReadPath::SnapshotCached => drop(serve.query_guided(drill_day, 1).expect("query")),
         }
@@ -283,7 +269,6 @@ fn reader_loop(
 
         let t = Instant::now();
         match path {
-            ReadPath::Mutex => drop(handle.micro_clusters_for_day(drill_day).expect("query")),
             ReadPath::Snapshot => drop(view.micro_clusters_for_day(drill_day).expect("query")),
             ReadPath::SnapshotCached => {
                 drop(serve.micro_clusters_for_day(drill_day).expect("query"))
@@ -315,8 +300,10 @@ fn timed_cell(
     path: ReadPath,
     readers: usize,
 ) -> CellOutcome {
-    let snapshot_dir = fresh_dir("cell");
-    let mc = monitor_config(config, sim, snapshot_dir.clone());
+    // A directory of its own, so repeated cells never see each other's
+    // sealed-day store.
+    let snapshot_dir = ScratchDir::new("bench-serving-cell");
+    let mc = monitor_config(config, sim, snapshot_dir.to_path_buf());
     let mut service = MonitorService::start(&mc, network.clone()).expect("service starts");
     let handle = service.handle();
     let stop = Arc::new(AtomicBool::new(false));
@@ -346,7 +333,6 @@ fn timed_cell(
     }
     let cache =
         (path == ReadPath::SnapshotCached && readers > 0).then(|| handle.serve().cache_stats());
-    let _ = std::fs::remove_dir_all(&snapshot_dir);
     CellOutcome {
         ingest_ms,
         samples,
@@ -409,8 +395,8 @@ fn deadline_smoke(
     network: &Arc<cps_geo::RoadNetwork>,
     records: &[cps_core::AtypicalRecord],
 ) -> DeadlineSmokeResult {
-    let snapshot_dir = fresh_dir("deadline");
-    let mc = monitor_config(config, sim, snapshot_dir.clone());
+    let snapshot_dir = ScratchDir::new("bench-serving-deadline");
+    let mc = monitor_config(config, sim, snapshot_dir.to_path_buf());
     let mut service = MonitorService::start(&mc, network.clone()).expect("service starts");
     let handle = service.handle();
     for &record in records {
@@ -471,7 +457,6 @@ fn deadline_smoke(
         2 * persisted.len() as u64,
         "every zero-budget query and only those must count as degraded"
     );
-    let _ = std::fs::remove_dir_all(&snapshot_dir);
     DeadlineSmokeResult {
         budget_ms: 0,
         queries,
@@ -483,18 +468,20 @@ fn deadline_smoke(
 }
 
 /// Quiescent differential gate: after a full ingest and `finish`, the
-/// cached, uncached-snapshot, and mutex paths must answer every query of
-/// both mixes identically (the cached answers exercised twice, so the
-/// second read is served from the cache). Panics on any mismatch —
-/// a saved artifact is therefore also a correctness witness.
+/// cached and uncached-snapshot paths must answer every query of both
+/// mixes identically (the cached answers exercised twice, so the second
+/// read is served from the cache) and equal to the batch reference.
+/// Panics on any mismatch — a saved artifact is therefore also a
+/// correctness witness.
 fn check_consistency(
     config: &ServingBenchConfig,
     sim: &dyn Source,
     network: &Arc<cps_geo::RoadNetwork>,
     records: &[cps_core::AtypicalRecord],
 ) -> bool {
-    let snapshot_dir = fresh_dir("check");
-    let mc = monitor_config(config, sim, snapshot_dir.clone());
+    let snapshot_dir = ScratchDir::new("bench-serving-check");
+    let mc = monitor_config(config, sim, snapshot_dir.to_path_buf());
+    let partition = UniformGrid::over(network, mc.red_cell_miles).partition(network);
     let mut service = MonitorService::start(&mc, network.clone()).expect("service starts");
     let handle = service.handle();
     for &record in records {
@@ -524,15 +511,24 @@ fn check_consistency(
                 "significant_clusters({first},{n}): cached != snapshot"
             );
         }
+        let (red, guided) = reference_guided(
+            &view,
+            &partition,
+            &mc.params,
+            mc.spec,
+            network.num_sensors() as u32,
+            first,
+            n,
+        );
         assert_eq!(
             view.red_regions(first, n),
-            handle.red_regions(first, n),
-            "red_regions({first},{n}): snapshot != mutex"
+            red,
+            "red_regions({first},{n}): snapshot != reference"
         );
         assert_eq!(
             view.query_guided(first, n).expect("query"),
-            handle.query_guided(first, n).expect("query"),
-            "query_guided({first},{n}): snapshot != mutex"
+            guided,
+            "query_guided({first},{n}): snapshot != reference"
         );
     }
     for day in 0..days {
@@ -541,13 +537,7 @@ fn check_consistency(
             *view.micro_clusters_for_day(day).expect("query"),
             "micro_clusters_for_day({day}): cached != snapshot"
         );
-        assert_eq!(
-            *view.micro_clusters_for_day(day).expect("query"),
-            handle.micro_clusters_for_day(day).expect("query"),
-            "micro_clusters_for_day({day}): snapshot != mutex"
-        );
     }
-    let _ = std::fs::remove_dir_all(&snapshot_dir);
     true
 }
 
@@ -594,11 +584,7 @@ pub fn run(config: &ServingBenchConfig) -> ServingBenchReport {
     );
 
     let mut results = Vec::new();
-    for path in [
-        ReadPath::Mutex,
-        ReadPath::Snapshot,
-        ReadPath::SnapshotCached,
-    ] {
+    for path in [ReadPath::Snapshot, ReadPath::SnapshotCached] {
         for &readers in &config.readers {
             let mut best_ms = f64::INFINITY;
             let mut samples = Vec::new();
@@ -652,7 +638,7 @@ pub fn run(config: &ServingBenchConfig) -> ServingBenchReport {
     );
 
     let consistency_ok = check_consistency(config, sim.as_ref(), &network, &records);
-    eprintln!("quiescent cross-check (cached == snapshot == mutex): ok");
+    eprintln!("quiescent cross-check (cached == snapshot == reference): ok");
 
     ServingBenchReport {
         feed_records: len,
@@ -791,7 +777,7 @@ mod tests {
         };
         let report = run(&config);
         assert_eq!(report.feed_records, 240);
-        assert_eq!(report.results.len(), 6, "3 paths x 2 reader counts");
+        assert_eq!(report.results.len(), 4, "2 paths x 2 reader counts");
         assert!(report.consistency_ok);
         for r in &report.results {
             assert!(r.ingest_ms > 0.0);
@@ -815,7 +801,8 @@ mod tests {
             }
         }
 
-        let path = fresh_dir("test").join("BENCH_query_serving_test.json");
+        let dir = ScratchDir::new("bench-serving-test");
+        let path = dir.join("BENCH_query_serving_test.json");
         save_json(&report, &config, &path).expect("save json");
         let text = std::fs::read_to_string(&path).expect("read back");
         let doc: serde::Value = serde_json::from_str(&text).expect("valid json");
@@ -825,7 +812,7 @@ mod tests {
                 .as_array()
                 .expect("results array")
                 .len(),
-            6
+            4
         );
         assert_eq!(
             serde::get_field(entries, "consistency_ok"),

@@ -95,6 +95,7 @@ pub fn secs(d: std::time::Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cps_core::ScratchDir;
 
     #[test]
     fn render_aligns_columns() {
@@ -118,11 +119,10 @@ mod tests {
     fn json_roundtrip() {
         let mut t = Table::new("demo", &["a"]);
         t.row(vec!["1".into()]);
-        let dir = std::env::temp_dir().join(format!("cps-table-{}", std::process::id()));
+        let dir = ScratchDir::new("table");
         t.save_json(&dir, "demo").unwrap();
         let text = std::fs::read_to_string(dir.join("demo.json")).unwrap();
         assert!(text.contains("\"demo\""));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -149,20 +149,22 @@ impl Workbench {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cps_core::ScratchDir;
 
-    fn test_config(tag: &str) -> ReproConfig {
+    /// A config whose archive lives in its own scratch directory; the
+    /// guard keeps it alive for the test.
+    fn test_config(tag: &str) -> (ReproConfig, ScratchDir) {
+        let dir = ScratchDir::new(tag);
         let mut c = ReproConfig::new(Scale::Tiny, 77);
         c.n_datasets = 1;
         c.days_per_dataset = 2;
-        c.data_dir =
-            std::env::temp_dir().join(format!("cps-workbench-{}-{tag}", std::process::id()));
-        c
+        c.data_dir = dir.join("archive");
+        (c, dir)
     }
 
     #[test]
     fn prepare_generates_then_reuses() {
-        let config = test_config("reuse");
-        let _ = std::fs::remove_dir_all(&config.data_dir);
+        let (config, _dir) = test_config("workbench-reuse");
         let wb = Workbench::prepare(config.clone()).unwrap();
         assert_eq!(wb.store.catalog().datasets.len(), 1);
         let first_gen = std::fs::metadata(config.data_dir.join("catalog.json"))
@@ -177,17 +179,15 @@ mod tests {
             .unwrap();
         assert_eq!(first_gen, second_gen);
         assert_eq!(wb2.network().num_sensors(), wb.network().num_sensors());
-        let _ = std::fs::remove_dir_all(&config.data_dir);
     }
 
     #[test]
     fn forest_builds_over_archive() {
-        let config = test_config("forest");
+        let (config, _dir) = test_config("workbench-forest");
         let wb = Workbench::prepare(config.clone()).unwrap();
         let params = Params::paper_defaults();
         let built = wb.build_forest(1, &params).unwrap();
         assert_eq!(built.forest.days().count(), 2);
         assert!(built.stats.n_micro_clusters > 0);
-        let _ = std::fs::remove_dir_all(&config.data_dir);
     }
 }

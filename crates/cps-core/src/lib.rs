@@ -20,7 +20,9 @@
 //! * the measure-classification traits of Gray et al.'s data-cube taxonomy
 //!   ([`measure`]), used by the paper's Properties 1, 2 and 4,
 //! * a fast non-cryptographic hasher ([`fx`]) used for the hot
-//!   sensor/window maps.
+//!   sensor/window maps,
+//! * [`ScratchDir`] — the one unique-temp-directory helper every test,
+//!   example and bench run in the workspace uses.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -31,6 +33,7 @@ pub mod ids;
 pub mod measure;
 pub mod params;
 pub mod record;
+pub mod scratch;
 pub mod severity;
 pub mod time;
 
@@ -38,5 +41,6 @@ pub use error::{CpsError, Result};
 pub use ids::{ClusterId, DatasetId, RegionId, SensorId};
 pub use params::{BalanceFunction, Params};
 pub use record::{AtypicalRecord, RawRecord, RecordBatch};
+pub use scratch::ScratchDir;
 pub use severity::Severity;
 pub use time::{TimeRange, TimeWindow, WindowSpec};

@@ -295,6 +295,7 @@ pub fn preprocess_raw(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cps_core::ScratchDir;
     use cps_core::SensorId;
     use cps_geo::point::LOS_ANGELES;
     use cps_geo::RoadNetwork;
@@ -469,8 +470,7 @@ mod tests {
     #[test]
     fn store_builds_mc_oc_and_pr() {
         use cps_sim::{Scale, SimConfig, TrafficSim};
-        let root = std::env::temp_dir().join(format!("cps-cube-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
+        let root = ScratchDir::new("cube");
         // Seed chosen so the simulated atypical fraction stays below 10 %
         // of raw readings, which the MC-vs-OC ratio assertion depends on.
         let sim = TrafficSim::new(
@@ -492,6 +492,5 @@ mod tests {
             preprocess_raw(&store, &datasets, &sim.criterion(), io).unwrap();
         assert_eq!(scanned, oc.n_records);
         assert_eq!(selected, mc.n_records);
-        let _ = std::fs::remove_dir_all(&root);
     }
 }

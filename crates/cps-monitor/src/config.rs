@@ -10,7 +10,6 @@
 //! overflow = "block"          # or "drop"
 //! delta_t_minutes = 15        # seal policy: gap after which events seal
 //! min_event_records = 2       # seal policy: trust filter
-//! indexed_integration = true  # inverted-index live integration (default)
 //! parallelism = 0             # forest-snapshot workers: 0 = all cores,
 //!                             # 1 = sequential; output identical either way
 //! red_cell_miles = 2.0
@@ -81,12 +80,12 @@ use cps_sim::{Domain, SourceConfig};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-/// What `ingest` does when a shard's channel is full.
+/// What `ingest_batch` does when a shard's channel is full.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OverflowPolicy {
     /// Block the producer until the worker catches up (backpressure).
     Block,
-    /// Drop the record and count it in the metrics.
+    /// Drop the shard's sub-batch and count its records in the metrics.
     Drop,
 }
 
@@ -470,9 +469,6 @@ impl MonitorConfig {
                 "delta_d_miles" => config.params.delta_d_miles = value.as_f64(key)?,
                 "delta_s" => config.params.delta_s = value.as_f64(key)?,
                 "delta_sim" => config.params.delta_sim = value.as_f64(key)?,
-                "indexed_integration" => {
-                    config.params.indexed_integration = value.as_bool(key)?;
-                }
                 "parallelism" => config.params.parallelism = value.as_usize(key)?,
                 "window_minutes" => {
                     config.spec = WindowSpec::new(value.as_usize(key)? as u32);
@@ -603,11 +599,6 @@ impl MonitorConfig {
         let _ = writeln!(out, "delta_d_miles = {}", self.params.delta_d_miles);
         let _ = writeln!(out, "delta_s = {}", self.params.delta_s);
         let _ = writeln!(out, "delta_sim = {}", self.params.delta_sim);
-        let _ = writeln!(
-            out,
-            "indexed_integration = {}",
-            self.params.indexed_integration
-        );
         let _ = writeln!(out, "parallelism = {}", self.params.parallelism);
         let _ = writeln!(out, "window_minutes = {}", self.spec.window_minutes);
         let _ = writeln!(out, "red_cell_miles = {}", self.red_cell_miles);
@@ -861,7 +852,6 @@ mod tests {
             overflow = "drop"
             delta_t_minutes = 20
             min_event_records = 3
-            indexed_integration = false
             parallelism = 2
             red_cell_miles = 1.5
             snapshot_dir = "/tmp/monitor # not a comment"
@@ -878,7 +868,6 @@ mod tests {
         assert_eq!(config.overflow, OverflowPolicy::Drop);
         assert_eq!(config.params.delta_t_minutes, 20);
         assert_eq!(config.params.min_event_records, 3);
-        assert!(!config.params.indexed_integration);
         assert_eq!(config.params.parallelism, 2);
         assert_eq!(config.red_cell_miles, 1.5);
         assert_eq!(
@@ -1226,7 +1215,6 @@ mod tests {
         assert!(MonitorConfig::from_toml_str("shards = 0").is_err());
         assert!(MonitorConfig::from_toml_str("shards = -3").is_err());
         assert!(MonitorConfig::from_toml_str("overflow = \"explode\"").is_err());
-        assert!(MonitorConfig::from_toml_str("indexed_integration = 1").is_err());
         assert!(MonitorConfig::from_toml_str("mystery_key = 1").is_err());
         assert!(MonitorConfig::from_toml_str("shards 4").is_err());
         assert!(MonitorConfig::from_toml_str("shards = 2\nshards = 3").is_err());

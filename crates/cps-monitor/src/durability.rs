@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! entry := seq u64 | tag u8 | body
-//! body  := record (16 B, `cps_storage::format::encode_atypical`)   tag 0
+//! body  := record (16 B, `cps_storage::format::encode_atypical`)   tag 0 (read only)
 //!        | window u32                                              tag 1
 //!        | flush_first u64 | flush_len u32 | count u32
 //!          | count × record (16 B each)                            tag 2
@@ -19,6 +19,12 @@
 //! union of all shard logs, sorted by `seq`, is exactly the sequence of
 //! messages the ingest thread successfully sent — recovery replays it
 //! single-threadedly and lands in the same state.
+//!
+//! Records are only ever written as **batch** entries. A lone-record
+//! entry (tag 0) is what the service logged per `ingest` call before
+//! ingest became batch-only; it is still decoded and replayed, so a
+//! `wal_dir` left by such a build recovers (pinned by the checked-in
+//! fixture `cps-testkit/tests/fixtures/legacy-wal-tag0`).
 //!
 //! A **batch** entry (tag 2) logs one whole sub-batch sent to a shard in a
 //! single WAL frame, amortizing the frame CRC, the `Io` write and the
@@ -76,7 +82,9 @@ pub const CKPT_VERSION: u32 = 2;
 /// One logged ingest→worker message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WalOp {
-    /// A record routed to the shard.
+    /// A lone record routed to the shard. Read only: logs written before
+    /// ingest became batch-only hold these; the service writes
+    /// [`Batch`](Self::Batch) frames.
     Record(AtypicalRecord),
     /// A window-advance broadcast.
     Advance(TimeWindow),
@@ -103,6 +111,18 @@ pub enum WalOp {
         /// `num_shards + 1` cut positions over the spatial sensor order.
         cuts: Vec<u32>,
     },
+}
+
+impl WalOp {
+    /// The records this entry carries, in feed order (none for an advance
+    /// or a rebalance); record `i` has sequence number `seq + i`.
+    pub fn records(&self) -> &[AtypicalRecord] {
+        match self {
+            WalOp::Record(record) => std::slice::from_ref(record),
+            WalOp::Batch { records, .. } => records,
+            WalOp::Advance(_) | WalOp::Rebalance { .. } => &[],
+        }
+    }
 }
 
 /// A decoded WAL entry: the global sequence number plus the message.
@@ -319,7 +339,8 @@ pub struct MergerCkpt {
     pub components: Vec<Vec<AtypicalRecord>>,
 }
 
-/// Query-side live state (see `crate::live::LiveState`).
+/// Query-side live state (see `crate::live::LiveState`), handed over by
+/// the merger, which owns it, in its checkpoint-barrier reply.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct LiveCkpt {
     /// Next cluster id ([`cps_core::ids::ClusterIdGen::peek`]).
@@ -696,7 +717,7 @@ pub fn load_checkpoint(io: &Io, wal_dir: &Path) -> Result<Option<CheckpointDoc>>
 mod tests {
     use super::*;
     use atypical::feature::{SpatialFeature, TemporalFeature};
-    use cps_core::{ClusterId, SensorId};
+    use cps_core::{ClusterId, ScratchDir, SensorId};
 
     fn rec(s: u32, w: u32, secs: u64) -> AtypicalRecord {
         AtypicalRecord::new(
@@ -887,9 +908,7 @@ mod tests {
 
     #[test]
     fn checkpoint_file_roundtrip_and_corruption() {
-        let dir = std::env::temp_dir().join(format!("cps-ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("ckpt");
         let io = Io::real();
         assert!(load_checkpoint(&io, &dir).unwrap().is_none());
         let doc = sample_doc();
@@ -905,6 +924,5 @@ mod tests {
             load_checkpoint(&io, &dir),
             Err(CpsError::Corrupt { .. })
         ));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -16,9 +16,8 @@
 //! incrementally, macro-clusters held at the Algorithm 3 fixpoint, and
 //! completed day buckets persisted through [`atypical::store::ForestStore`].
 //! [`MonitorHandle`] exposes significant-cluster queries (Definition 5)
-//! and red-zone-guided window queries over the live + persisted levels —
-//! through the live mutex for the freshest answer, or lock-free through
-//! the `cps-serve` snapshot layer ([`MonitorHandle::read_view`] /
+//! and red-zone-guided window queries over the live + persisted levels
+//! through the `cps-serve` snapshot layer ([`MonitorHandle::read_view`] /
 //! [`MonitorHandle::serve`]): the merger publishes immutable epoch-stamped
 //! [`cps_serve::LiveSnapshot`]s at the `[serving]` cadence, and readers pin
 //! one with a single atomic load, optionally behind the sharded result

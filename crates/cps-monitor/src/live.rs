@@ -1,11 +1,11 @@
 //! Mutable query-side state of the running service.
 //!
-//! The merger thread is the only writer. Queries take one of two paths:
-//! the classic mutex path (short read passes under the same lock the
-//! merger writes under — kept as the differential-test oracle) and the
-//! lock-free snapshot path, where the merger publishes immutable
-//! [`cps_serve::LiveSnapshot`]s at a configurable cadence and readers pin
-//! them through a [`cps_serve::ReadView`] without ever touching the lock.
+//! The merger thread owns the [`LiveState`] by value and is its only
+//! writer and only reader: queries never touch it. Instead the merger
+//! publishes immutable [`cps_serve::LiveSnapshot`]s at a configurable
+//! cadence and readers pin them through a [`cps_serve::ReadView`]; a
+//! checkpoint gets its copy ([`LiveState::checkpoint`]) in the merger's
+//! barrier reply.
 //!
 //! To make publication cheap, every container a snapshot exposes is held
 //! copy-on-write: day buckets, per-day region `F` vectors, and the
@@ -26,15 +26,15 @@
 //!   micro-clusters, and the vectors survive day eviction so persisted
 //!   days stay cheap to pre-filter;
 //! - `macros` — live macro-clusters, kept at the Algorithm 3 fixpoint by
-//!   re-running the work-queue step for each arriving micro-cluster only.
-//!   [`Params::indexed_integration`] (default on) selects the
-//!   inverted-index integrator, which prunes result members sharing no
-//!   sensor and no window with the arriving cluster instead of scanning
-//!   the whole fixpoint set; both strategies maintain the same set and
-//!   both instrument their scans ([`LiveMacros::stats`]).
+//!   re-running the work-queue step for each arriving micro-cluster only,
+//!   through the inverted-index integrator: it prunes result members
+//!   sharing no sensor and no window with the arriving cluster instead of
+//!   scanning the whole fixpoint set. Live comparison uses absolute time
+//!   windows (the monitor integrates within its streaming horizon;
+//!   cross-day folding happens in offline forest roll-ups).
 
-use atypical::integrate::{IntegrationStats, TimeAlignment};
-use atypical::similarity::similarity;
+use crate::durability::LiveCkpt;
+use atypical::integrate::TimeAlignment;
 use atypical::AtypicalCluster;
 use atypical::IndexedIntegrator;
 use cps_core::ids::ClusterIdGen;
@@ -44,100 +44,6 @@ use cps_serve::LiveSnapshot;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// The live macro-cluster fixpoint set, maintained by either integration
-/// strategy. Live comparison uses absolute time windows (the monitor
-/// integrates within its streaming horizon; cross-day folding happens in
-/// offline forest roll-ups).
-pub(crate) enum LiveMacros {
-    /// Naive incremental scan — the oracle the indexed path is
-    /// differential-tested against. Instrumented like the offline naive
-    /// integrator: every similarity evaluation counts one comparison
-    /// (including the evaluation that hits), every merge one merge.
-    Naive {
-        /// The fixpoint set.
-        set: Vec<AtypicalCluster>,
-        /// Scan counters (`candidates_pruned`/`bound_skips` stay zero:
-        /// the naive path prunes nothing).
-        stats: IntegrationStats,
-    },
-    /// Inverted-index candidate generation (see
-    /// `atypical::integrate_index`). Boxed: the integrator's slab and
-    /// scratch arrays dwarf the naive variant.
-    Indexed(Box<IndexedIntegrator>),
-}
-
-impl LiveMacros {
-    fn new(params: &Params) -> Self {
-        if params.indexed_integration {
-            LiveMacros::Indexed(Box::new(IndexedIntegrator::new(
-                params,
-                TimeAlignment::Absolute,
-            )))
-        } else {
-            LiveMacros::Naive {
-                set: Vec::new(),
-                stats: IntegrationStats::default(),
-            }
-        }
-    }
-
-    /// Number of live macro-clusters.
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            LiveMacros::Naive { set, .. } => set.len(),
-            LiveMacros::Indexed(ix) => ix.len(),
-        }
-    }
-
-    /// Clones the current fixpoint set.
-    pub(crate) fn snapshot(&self) -> Vec<AtypicalCluster> {
-        match self {
-            LiveMacros::Naive { set, .. } => set.clone(),
-            LiveMacros::Indexed(ix) => ix.snapshot(),
-        }
-    }
-
-    /// Scan counters from either strategy. Comparisons/merges are live on
-    /// both paths; `candidates_pruned`/`bound_skips` are zero on the
-    /// naive path (it prunes nothing, by construction).
-    pub(crate) fn stats(&self) -> IntegrationStats {
-        match self {
-            LiveMacros::Naive { stats, .. } => *stats,
-            LiveMacros::Indexed(ix) => ix.stats(),
-        }
-    }
-
-    /// One incremental step of Algorithm 3: the candidate is compared
-    /// against the fixpoint set; a hit merges and re-enqueues, so the
-    /// pairwise-non-similar invariant is restored before returning.
-    fn integrate(&mut self, cluster: AtypicalCluster, params: &Params, ids: &mut ClusterIdGen) {
-        match self {
-            LiveMacros::Indexed(ix) => ix.admit(cluster, ids),
-            LiveMacros::Naive { set, stats } => {
-                let mut queue = vec![cluster];
-                while let Some(candidate) = queue.pop() {
-                    let mut hit = None;
-                    for (i, m) in set.iter().enumerate() {
-                        stats.comparisons += 1;
-                        if similarity(&candidate, m, params.balance) > params.delta_sim {
-                            hit = Some(i);
-                            break;
-                        }
-                    }
-                    match hit {
-                        Some(i) => {
-                            let existing = set.swap_remove(i);
-                            stats.merges += 1;
-                            queue.push(candidate.merge(&existing, ids.next_id()));
-                        }
-                        None => set.push(candidate),
-                    }
-                }
-            }
-        }
-    }
-}
-
 pub(crate) struct LiveState {
     pub(crate) ids: ClusterIdGen,
     /// Finalized micro-clusters per day, until the day is persisted.
@@ -146,7 +52,7 @@ pub(crate) struct LiveState {
     /// Per-day red-zone numerators `F(Wᵢ, day)`; retained after eviction.
     pub(crate) region_f_by_day: BTreeMap<u32, Arc<Vec<Severity>>>,
     /// Live macro-clusters (pairwise similarity ≤ δsim invariant).
-    pub(crate) macros: LiveMacros,
+    pub(crate) macros: IndexedIntegrator,
     /// Days whose micro-clusters moved to the snapshot store.
     pub(crate) persisted_days: Arc<BTreeSet<u32>>,
     /// Bumped once per day eviction; snapshots carry it so caches can
@@ -164,7 +70,7 @@ impl LiveState {
             ids: ClusterIdGen::new(1),
             micros_by_day: BTreeMap::new(),
             region_f_by_day: BTreeMap::new(),
-            macros: LiveMacros::new(params),
+            macros: IndexedIntegrator::new(params, TimeAlignment::Absolute),
             persisted_days: Arc::new(BTreeSet::new()),
             seal_epoch: 0,
             macros_memo: None,
@@ -174,13 +80,13 @@ impl LiveState {
     /// Rebuilds the live state from a checkpoint. The macro fixpoint set
     /// is restored by re-admitting each checkpointed cluster: the set is
     /// pairwise non-similar, so no admission merges — no IDs are consumed
-    /// and both containers end holding exactly the checkpointed set (the
-    /// indexed integrator additionally rebuilds its inverted index).
-    pub(crate) fn restore(params: &Params, ckpt: &crate::durability::LiveCkpt) -> Self {
+    /// and the integrator ends holding exactly the checkpointed set, with
+    /// its inverted index rebuilt.
+    pub(crate) fn restore(params: &Params, ckpt: &LiveCkpt) -> Self {
         let mut ids = ClusterIdGen::new(ckpt.next_id);
-        let mut macros = LiveMacros::new(params);
+        let mut macros = IndexedIntegrator::new(params, TimeAlignment::Absolute);
         for cluster in &ckpt.macros {
-            macros.integrate(cluster.clone(), params, &mut ids);
+            macros.admit(cluster.clone(), &mut ids);
         }
         debug_assert_eq!(
             ids.peek(),
@@ -207,15 +113,36 @@ impl LiveState {
         }
     }
 
+    /// The checkpoint form of this state, the inverse of
+    /// [`restore`](Self::restore).
+    pub(crate) fn checkpoint(&self) -> LiveCkpt {
+        LiveCkpt {
+            next_id: self.ids.peek(),
+            micros_by_day: self
+                .micros_by_day
+                .iter()
+                .map(|(day, micros)| (*day, micros.as_ref().clone()))
+                .collect(),
+            region_f_by_day: self
+                .region_f_by_day
+                .iter()
+                .map(|(day, f)| (*day, f.as_ref().clone()))
+                .collect(),
+            macros: self.macros.snapshot(),
+            persisted_days: self.persisted_days.iter().copied().collect(),
+        }
+    }
+
     /// Admits one finalized micro-cluster: files it under its day (day of
     /// its first window), folds its severity into the day's region `F`
-    /// vector, and integrates it into the live macro-clusters.
+    /// vector, and integrates it into the live macro-clusters (one
+    /// incremental step of Algorithm 3: a hit merges and re-enqueues, so
+    /// the pairwise-non-similar invariant is restored before returning).
     pub(crate) fn admit(
         &mut self,
         cluster: AtypicalCluster,
         spec: WindowSpec,
         partition: &SensorPartition,
-        params: &Params,
     ) {
         let day = spec.day_of(cluster.time_range().start);
         let f = self
@@ -226,8 +153,7 @@ impl LiveState {
         for (sensor, severity) in cluster.sf.iter() {
             f[partition.region_of(sensor).index()] += severity;
         }
-        self.macros
-            .integrate(cluster.clone(), params, &mut self.ids);
+        self.macros.admit(cluster.clone(), &mut self.ids);
         self.macros_memo = None;
         Arc::make_mut(self.micros_by_day.entry(day).or_default()).push(cluster);
     }
@@ -274,6 +200,7 @@ impl LiveState {
 mod tests {
     use super::*;
     use atypical::feature::{SpatialFeature, TemporalFeature};
+    use atypical::similarity::similarity;
     use cps_core::{ClusterId, SensorId, TimeWindow};
 
     fn cluster(id: u64, sensors: &[u32], windows: &[u32]) -> AtypicalCluster {
@@ -288,16 +215,16 @@ mod tests {
         AtypicalCluster::new(ClusterId::new(id), sf, tf)
     }
 
-    /// The indexed live fixpoint must evolve exactly like the naive one
-    /// under the same admission sequence (same clusters, same ids: the
-    /// incremental step evaluates candidates in the same set order).
+    /// The live fixpoint must evolve exactly like the paper's naive
+    /// Algorithm 3 step under the same admission sequence (same clusters,
+    /// same ids: the incremental step evaluates candidates in the same
+    /// set order). The naive side is the reference loop below.
     #[test]
-    fn indexed_live_macros_match_naive_admission() {
+    fn live_macros_match_naive_admission() {
         let params = Params::paper_defaults();
-        let naive_params = params.with_indexed_integration(false);
-        let mut naive = LiveMacros::new(&naive_params);
-        let mut indexed = LiveMacros::new(&params);
-        assert!(matches!(indexed, LiveMacros::Indexed(_)));
+        let mut naive: Vec<AtypicalCluster> = Vec::new();
+        let (mut naive_comparisons, mut naive_merges) = (0u64, 0u64);
+        let mut live = LiveState::new(&params).macros;
         let mut ids_n = ClusterIdGen::new(100);
         let mut ids_i = ClusterIdGen::new(100);
         for i in 0..30u32 {
@@ -307,53 +234,31 @@ mod tests {
                 &[base, base + 1, base + 2],
                 &[base, base + 1, base + 2],
             );
-            naive.integrate(c.clone(), &params, &mut ids_n);
-            indexed.integrate(c, &params, &mut ids_i);
-            assert_eq!(naive.snapshot(), indexed.snapshot(), "step {i}");
+            let mut queue = vec![c.clone()];
+            while let Some(candidate) = queue.pop() {
+                let hit = naive.iter().position(|m| {
+                    naive_comparisons += 1;
+                    similarity(&candidate, m, params.balance) > params.delta_sim
+                });
+                match hit {
+                    Some(at) => {
+                        naive_merges += 1;
+                        let existing = naive.swap_remove(at);
+                        queue.push(candidate.merge(&existing, ids_n.next_id()));
+                    }
+                    None => naive.push(candidate),
+                }
+            }
+            live.admit(c, &mut ids_i);
+            assert_eq!(naive, live.snapshot(), "step {i}");
         }
-        assert_eq!(naive.len(), indexed.len());
-        assert!(indexed.stats().merges > 0);
-        // Both strategies walk the same work queue, so they merge the
-        // same pairs; the index only skips comparisons it proves
-        // fruitless, so the naive count dominates.
-        assert_eq!(naive.stats().merges, indexed.stats().merges);
-        assert!(naive.stats().comparisons >= indexed.stats().comparisons);
-    }
-
-    /// The naive scan instruments itself: comparisons and merges are
-    /// counted (they fed all-zero gauges before), while the prune/bound
-    /// counters stay zero — the naive path skips nothing.
-    #[test]
-    fn naive_stats_are_live() {
-        let params = Params::paper_defaults().with_indexed_integration(false);
-        let mut naive = LiveMacros::new(&params);
-        let mut ids = ClusterIdGen::new(100);
-        for i in 0..10u32 {
-            naive.integrate(
-                cluster(u64::from(i), &[1, 2, 3], &[1, 2, 3]),
-                &params,
-                &mut ids,
-            );
-        }
-        let stats = naive.stats();
-        assert!(stats.comparisons > 0, "scan evaluations must be counted");
-        assert!(stats.merges > 0, "identical clusters must merge");
-        assert_eq!(stats.candidates_pruned, 0);
-        assert_eq!(stats.bound_skips, 0);
-    }
-
-    /// `indexed_integration = false` selects the naive container.
-    #[test]
-    fn params_flag_selects_strategy() {
-        let naive_params = Params::paper_defaults().with_indexed_integration(false);
-        assert!(matches!(
-            LiveMacros::new(&naive_params),
-            LiveMacros::Naive { .. }
-        ));
-        assert_eq!(
-            LiveMacros::new(&naive_params).stats(),
-            IntegrationStats::default()
-        );
+        assert_eq!(naive.len(), live.len());
+        assert!(live.stats().merges > 0);
+        // Both walk the same work queue, so they merge the same pairs;
+        // the index only skips comparisons it proves fruitless, so the
+        // naive count dominates.
+        assert_eq!(naive_merges, live.stats().merges);
+        assert!(naive_comparisons >= live.stats().comparisons);
     }
 
     /// Publications share containers copy-on-write: a published snapshot
@@ -367,12 +272,12 @@ mod tests {
         let partition = cps_geo::grid::UniformGrid::over(&network, 2.0).partition(&network);
         let spec = WindowSpec::PEMS;
         let mut live = LiveState::new(&params);
-        live.admit(cluster(1, &[0, 1], &[3, 4]), spec, &partition, &params);
+        live.admit(cluster(1, &[0, 1], &[3, 4]), spec, &partition);
         let snap = live.publishable(1);
         let frozen_micros = snap.micros_by_day.clone();
         let frozen_f = snap.region_f_by_day.clone();
-        live.admit(cluster(2, &[5, 6], &[30, 31]), spec, &partition, &params);
-        live.admit(cluster(3, &[0, 1], &[3, 4]), spec, &partition, &params);
+        live.admit(cluster(2, &[5, 6], &[30, 31]), spec, &partition);
+        live.admit(cluster(3, &[0, 1], &[3, 4]), spec, &partition);
         assert_eq!(snap.micros_by_day, frozen_micros, "pinned bucket unchanged");
         assert_eq!(snap.region_f_by_day, frozen_f, "pinned F vector unchanged");
         assert_eq!(snap.micros_by_day[&0].len(), 1);

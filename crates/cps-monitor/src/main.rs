@@ -20,6 +20,7 @@
 //! feed at the exact record the durable state contains
 //! ([`RecoveryReport::resume_from`]), so no record is lost or doubled.
 
+use cps_core::RecordBatch;
 use cps_monitor::{MonitorConfig, MonitorService, RecoveryReport};
 use cps_sim::{build_source, Domain, Scale, SimConfig};
 use std::path::PathBuf;
@@ -156,9 +157,10 @@ fn run() -> Result<(), String> {
             skip -= day_len;
             continue;
         }
-        for record in records.into_iter().skip(skip as usize) {
+        // One batch per window: the cadence a live feed delivers at.
+        for window in records[skip as usize..].chunk_by(|a, b| a.window == b.window) {
             service
-                .ingest(record)
+                .ingest_batch(&RecordBatch::from_records(window))
                 .map_err(|e| format!("day {day}: {e}"))?;
         }
         skip = 0;

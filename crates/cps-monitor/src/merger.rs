@@ -37,7 +37,8 @@
 //! and no pending component has a record in day `d`. Its micro-clusters
 //! then move to the [`ForestStore`] day level and leave live memory.
 
-use crate::durability::MergerCkpt;
+use crate::durability::{LiveCkpt, MergerCkpt};
+use crate::live::LiveState;
 use crate::metrics::Metrics;
 use crate::service::SharedState;
 use crate::shard::{BoundaryInfo, ShardMap};
@@ -67,8 +68,11 @@ pub(crate) enum MergerMsg {
     Done { shard: usize },
     /// Quiescent-checkpoint barrier: the ingest thread is blocked and
     /// every worker has acked, so all prior messages are already applied.
-    /// The merger serializes its private state and replies.
-    Checkpoint { reply: Sender<Vec<u8>> },
+    /// The merger replies with its private state and the live state's
+    /// checkpoint form.
+    Checkpoint {
+        reply: Sender<(MergerCkpt, LiveCkpt)>,
+    },
     /// A shard-map epoch change: the accumulated boundary predicate
     /// (union over every epoch so far). Sent by the ingest thread *after*
     /// every worker acked the new map and enqueued its recomputed floors,
@@ -110,6 +114,9 @@ fn any_within_gap(a: &[TimeWindow], b: &[TimeWindow], max_gap: u32) -> bool {
 
 pub(crate) struct Merger {
     shared: Arc<SharedState>,
+    /// The query-side state. Owned here: the merger is its only writer,
+    /// and readers see it only through published snapshots.
+    live: LiveState,
     map: Arc<ShardMap>,
     /// The boundary predicate reconciliation runs on: the union over every
     /// shard-map epoch whose events may still be pending (see
@@ -153,10 +160,12 @@ impl Merger {
         map: Arc<ShardMap>,
         info: Arc<BoundaryInfo>,
         max_gap: u32,
+        live: LiveState,
     ) -> Self {
         let shards = map.num_shards();
         Self {
             shared,
+            live,
             map,
             info,
             max_gap,
@@ -188,9 +197,10 @@ impl Merger {
         map: Arc<ShardMap>,
         info: Arc<BoundaryInfo>,
         max_gap: u32,
+        live: LiveState,
         ckpt: &MergerCkpt,
     ) -> Self {
-        let mut merger = Self::new(shared, map, info, max_gap);
+        let mut merger = Self::new(shared, map, info, max_gap, live);
         for (shard, &(clock, open_floor, boundary_floor, done)) in ckpt.progress.iter().enumerate()
         {
             merger.clock[shard] = clock;
@@ -241,10 +251,10 @@ impl Merger {
         merger
     }
 
-    /// Serializes the merger-private state for a checkpoint: per-shard
-    /// progress plus the pending pool compacted to one record list per
-    /// union-find component (slab order of each component's first slot).
-    fn serialize_state(&mut self) -> Vec<u8> {
+    /// The merger-private state for a checkpoint: per-shard progress plus
+    /// the pending pool compacted to one record list per union-find
+    /// component (slab order of each component's first slot).
+    fn checkpoint(&mut self) -> MergerCkpt {
         let mut roots: FxHashMap<usize, usize> = FxHashMap::default();
         let mut components: Vec<Vec<AtypicalRecord>> = Vec::new();
         for slot in self.scan_base..self.pending.len() {
@@ -265,7 +275,7 @@ impl Merger {
                     .copied(),
             );
         }
-        let ckpt = MergerCkpt {
+        MergerCkpt {
             progress: (0..self.map.num_shards())
                 .map(|s| {
                     (
@@ -277,10 +287,7 @@ impl Merger {
                 })
                 .collect(),
             components,
-        };
-        let mut buf = Vec::new();
-        ckpt.encode(&mut buf);
-        buf
+        }
     }
 
     /// Applies one message and runs the finalize/persist passes — the
@@ -317,7 +324,7 @@ impl Merger {
                 self.boundary_floor[shard] = None;
             }
             MergerMsg::Checkpoint { reply } => {
-                let _ = reply.send(self.serialize_state());
+                let _ = reply.send((self.checkpoint(), self.live.checkpoint()));
                 return;
             }
             MergerMsg::Rebalance { boundary } => {
@@ -341,11 +348,20 @@ impl Merger {
         if self.clusters_since_publish >= serving.publish_every_clusters
             || self.windows_since_publish >= serving.publish_every_windows
         {
-            let mut live = self.shared.live.lock();
-            self.shared.publish_snapshot(&mut live);
-            self.clusters_since_publish = 0;
-            self.windows_since_publish = 0;
+            self.publish_snapshot();
         }
+    }
+
+    /// Publishes the live state's current read model through the serving
+    /// cell, stamped with a fresh epoch, and resets both cadence counters.
+    fn publish_snapshot(&mut self) {
+        let epoch = self.shared.serve.next_epoch();
+        self.shared.serve.publish(self.live.publishable(epoch));
+        self.metrics()
+            .snapshots_published
+            .fetch_add(1, Ordering::Relaxed);
+        self.clusters_since_publish = 0;
+        self.windows_since_publish = 0;
     }
 
     pub(crate) fn run(mut self, rx: Receiver<MergerMsg>) {
@@ -366,10 +382,8 @@ impl Merger {
         self.finalize_all();
         self.persist_complete_days();
         // Final publication: after `finish` joins this thread, the latest
-        // snapshot equals the quiescent live state, so [`ReadView`] and
-        // the mutex path answer identically.
-        let mut live = self.shared.live.lock();
-        self.shared.publish_snapshot(&mut live);
+        // snapshot is the quiescent live state.
+        self.publish_snapshot();
     }
 
     fn metrics(&self) -> &Metrics {
@@ -546,22 +560,17 @@ impl Merger {
         }
         records.sort_by_key(|r| (r.window, r.sensor));
         let event = AtypicalEvent::new(records);
-        let mut live = self.shared.live.lock();
-        let id = live.ids.next_id();
+        let id = self.live.ids.next_id();
         let cluster = AtypicalCluster::from_event(id, &event);
-        live.admit(
-            cluster,
-            self.shared.spec,
-            &self.shared.partition,
-            &self.shared.params,
-        );
+        self.live
+            .admit(cluster, self.shared.spec, &self.shared.partition);
         self.metrics()
             .micro_clusters
             .fetch_add(1, Ordering::Relaxed);
         self.metrics()
             .macro_clusters
-            .store(live.macros.len() as u64, Ordering::Relaxed);
-        let istats = live.macros.stats();
+            .store(self.live.macros.len() as u64, Ordering::Relaxed);
+        let istats = self.live.macros.stats();
         self.metrics()
             .integration_candidates_pruned
             .store(istats.candidates_pruned, Ordering::Relaxed);
@@ -579,17 +588,13 @@ impl Merger {
 
     /// Persists (and evicts) every live day that is provably complete.
     fn persist_complete_days(&mut self) {
-        let Some(store) = &self.shared.store else {
+        if self.shared.store.is_none() {
             return;
-        };
+        }
         let windows_per_day = self.shared.spec.windows_per_day() as u64;
         loop {
-            let day = {
-                let live = self.shared.live.lock();
-                match live.micros_by_day.keys().next() {
-                    Some(&d) => d,
-                    None => return,
-                }
+            let Some(&day) = self.live.micros_by_day.keys().next() else {
+                return;
             };
             let day_end = (day as u64 + 1) * windows_per_day - 1;
             let closed = (0..self.map.num_shards()).all(|s| {
@@ -604,10 +609,11 @@ impl Merger {
             if !closed {
                 return;
             }
-            let micros = {
-                let mut live = self.shared.live.lock();
-                live.evict_day(day).expect("day key observed under lock")
-            };
+            // No publication happens between the eviction and the store
+            // write below, so no reader ever pins a state where the day is
+            // neither live nor on disk.
+            let micros = self.live.evict_day(day).expect("day key just observed");
+            let store = self.shared.store.as_ref().expect("checked on entry");
             match store.save(atypical::store::ForestLevel::Day, day, &micros) {
                 Ok(()) => {
                     let bytes = std::fs::metadata(
@@ -625,17 +631,13 @@ impl Merger {
                     // (store, not snapshot) and bumps `seal_epoch`:
                     // publish immediately so cache entries keyed to the
                     // old epoch die and no reader misses the day.
-                    let mut live = self.shared.live.lock();
-                    self.shared.publish_snapshot(&mut live);
-                    self.clusters_since_publish = 0;
-                    self.windows_since_publish = 0;
+                    self.publish_snapshot();
                 }
                 Err(e) => {
                     // Persistence is an optimization; keep serving from
                     // memory rather than killing the merger.
                     eprintln!("cps-monitor: failed to persist day {day}: {e}");
-                    let mut live = self.shared.live.lock();
-                    live.unevict_day(day, micros);
+                    self.live.unevict_day(day, micros);
                     return;
                 }
             }

@@ -39,14 +39,13 @@ pub struct Metrics {
     pub macro_clusters: AtomicU64,
     /// Result-set members never compared during live integration because
     /// they shared no sensor and no window with the arriving cluster
-    /// (gauge; zero when `indexed_integration` is off).
+    /// (gauge).
     pub integration_candidates_pruned: AtomicU64,
     /// Candidate comparisons skipped because the admissible similarity
-    /// upper bound already ruled them out (gauge; zero when
-    /// `indexed_integration` is off).
+    /// upper bound already ruled them out (gauge).
     pub integration_bound_skips: AtomicU64,
     /// Similarity evaluations performed by live integration so far
-    /// (gauge; populated on both the naive and indexed paths).
+    /// (gauge).
     pub integration_comparisons: AtomicU64,
     /// Merges performed by live integration so far (gauge).
     pub integration_merges: AtomicU64,

@@ -1,5 +1,5 @@
 //! The monitoring service: ingest routing, shard workers, and the
-//! [`MonitorHandle`] query facade.
+//! [`MonitorHandle`] read facade.
 //!
 //! ```text
 //!                      ┌─ bounded channel ─ worker 0 (OnlineExtractor) ─┐
@@ -11,21 +11,31 @@
 //! are broadcast to every shard so all extractor clocks move together.
 //! Channels are bounded: with [`OverflowPolicy::Block`] a full channel
 //! exerts backpressure on the producer, with [`OverflowPolicy::Drop`] the
-//! record is dropped and counted.
+//! sub-batch is dropped and its records counted.
 //!
-//! ## Batched ingest
+//! ## One way in
 //!
-//! [`MonitorService::ingest_batch`] is the hot path: one partition pass
-//! splits a struct-of-arrays [`RecordBatch`] into per-shard sub-batches,
-//! one channel send per shard delivers them
+//! [`MonitorService::ingest_batch`] is the only ingest path
+//! ([`MonitorService::ingest`] is the same call for one record): one
+//! admission pass splits a struct-of-arrays [`RecordBatch`] into per-shard
+//! sub-batches, one channel send per shard delivers them
 //! ([`OnlineExtractor::apply_batch`] hoists the window-advance and seal
 //! checks out of the per-record loop), and one WAL frame per shard
 //! amortizes the CRC, `Io` write, and (group-commit) fsync across the
 //! whole sub-batch. Window-advance broadcasts collapse to at most one per
-//! call. The result is bit-identical to feeding the same records through
-//! [`ingest`](MonitorService::ingest) one at a time (see
-//! `tests/ingest_batch_differential.rs`); only cadence counters (snapshot
-//! publications, WAL appends) differ.
+//! call. The resulting cluster state does not depend on how the feed is
+//! cut into batches — every batch size equals one in-order
+//! [`OnlineExtractor`] (see `tests/ingest_batch_differential.rs`); only
+//! cadence counters (snapshot publications, WAL appends) differ.
+//!
+//! ## One way out
+//!
+//! The merger thread owns the query-side live state outright; nothing
+//! else reads it. It publishes immutable epoch-stamped snapshots, and
+//! every [`MonitorHandle`] read pins one ([`MonitorHandle::read_view`],
+//! [`MonitorHandle::serve`]). A day seal is published only after the
+//! store write, so no pinned view ever finds a day neither live nor on
+//! disk.
 //!
 //! ## Adaptive shard rebalancing
 //!
@@ -45,8 +55,8 @@
 //! (send first, then log: the WAL is exactly the set of messages the
 //! workers received, so replay never double-applies a failed send).
 //! Periodic quiescent checkpoints capture the whole pipeline state —
-//! extractor clocks and open events, the merger's reconciliation pool,
-//! and the query-side live state — so [`MonitorService::recover`] replays
+//! extractor clocks and open events, the merger's reconciliation pool
+//! and the query-side live state it owns — so [`MonitorService::recover`] replays
 //! only the WAL suffix past the checkpoint and truncates dead segments.
 //! With `durability.respawn_budget > 0`, a dead shard worker is rebuilt
 //! in place from checkpoint + WAL replay and the failed send retried;
@@ -59,32 +69,24 @@ use crate::config::{
 };
 use crate::durability::{
     checkpoint_path, decode_entry, encode_batch_entry, encode_entry, load_checkpoint,
-    shard_wal_dir, write_checkpoint, CheckpointDoc, LiveCkpt, MergerCkpt, ShardCkpt, WalOp,
+    shard_wal_dir, write_checkpoint, CheckpointDoc, ShardCkpt, WalOp,
 };
 use crate::error::MonitorError;
 use crate::live::LiveState;
 use crate::merger::{Merger, MergerMsg};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::shard::{BoundaryInfo, ShardMap};
-use atypical::integrate::{integrate_aligned, TimeAlignment};
 use atypical::online::{OnlineExtractor, OutOfOrderRecord, SealedRawEvent};
-use atypical::significant::significance_threshold;
-use atypical::store::{ForestLevel, ForestStore};
-use atypical::AtypicalCluster;
-use cps_core::ids::ClusterIdGen;
-use cps_core::{
-    AtypicalRecord, Params, RecordBatch, RegionId, SensorId, Severity, TimeRange, TimeWindow,
-    WindowSpec,
-};
+use atypical::store::ForestStore;
+use cps_core::{AtypicalRecord, Params, RecordBatch, SensorId, TimeWindow, WindowSpec};
 use cps_geo::grid::{SensorPartition, UniformGrid};
 use cps_geo::RoadNetwork;
 use cps_index::st_index::max_gap_windows;
 pub use cps_serve::GuidedQuery;
-use cps_serve::{ReadView, ServeContext, ServeHandle, ServeState, QUERY_ID_BASE};
+use cps_serve::{ReadView, ServeContext, ServeHandle, ServeState};
 use cps_storage::wal::{read_wal, repair_tail, truncate_segments_below, SyncPolicy, WalWriter};
 use cps_storage::{Io, RetryIo};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
-use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -102,11 +104,10 @@ pub(crate) struct SharedState {
     pub(crate) params: Params,
     pub(crate) spec: WindowSpec,
     pub(crate) metrics: Metrics,
-    pub(crate) live: Mutex<LiveState>,
     pub(crate) store: Option<Arc<ForestStore>>,
-    /// The lock-free read side: snapshot cell + result cache. The merger
-    /// publishes into it; [`MonitorHandle::read_view`] and
-    /// [`MonitorHandle::serve`] read from it without the live mutex.
+    /// The read side: snapshot cell + result cache. The merger publishes
+    /// into it; [`MonitorHandle::read_view`] and [`MonitorHandle::serve`]
+    /// read from it.
     pub(crate) serve: Arc<ServeState>,
     /// Publication cadence (from the `[serving]` config section).
     pub(crate) serving: ServingConfig,
@@ -117,23 +118,8 @@ pub(crate) struct SharedState {
     pub(crate) sealed_sent: Vec<AtomicU64>,
 }
 
-impl SharedState {
-    /// Publishes the live state's current read model through the serving
-    /// cell, stamped with a fresh epoch. Called by the merger (at its
-    /// configured cadence and on every day seal) while it holds the live
-    /// lock, so the snapshot is internally consistent.
-    pub(crate) fn publish_snapshot(&self, live: &mut LiveState) {
-        let epoch = self.serve.next_epoch();
-        self.serve.publish(live.publishable(epoch));
-        self.metrics
-            .snapshots_published
-            .fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// Ingest → worker protocol.
 enum WorkerMsg {
-    Record(AtypicalRecord),
     /// A whole per-shard sub-batch, applied through
     /// [`OnlineExtractor::apply_batch`]. Records may span windows; the
     /// extractor's clock advances internally, and sealed events drain at
@@ -169,9 +155,9 @@ enum WorkerMsg {
 
 /// A running sharded monitoring service.
 ///
-/// Feed window-ordered records through [`ingest`](Self::ingest) (one at a
-/// time) or [`ingest_batch`](Self::ingest_batch) (the amortized hot
-/// path); query at any time through a [`MonitorHandle`];
+/// Feed window-ordered records through [`ingest_batch`](Self::ingest_batch)
+/// ([`ingest`](Self::ingest) is the same call for a single record); query
+/// at any time through a [`MonitorHandle`];
 /// [`finish`](Self::finish) drains the pipeline and returns the final
 /// metrics.
 pub struct MonitorService {
@@ -349,31 +335,16 @@ fn spawn_worker(ctx: WorkerSpawn) -> Result<JoinHandle<()>, String> {
                     }
                 }
                 match msg {
-                    WorkerMsg::Record(record) => {
-                        if kill_after.is_some_and(|n| records_processed >= n) {
-                            // Fault hook: die abruptly — skip the
-                            // drain/Done epilogue exactly as a crashed
-                            // thread would. Per incarnation: a respawned
-                            // worker dies again after `after_records`
-                            // more records, so a long enough feed
-                            // deterministically exhausts any respawn
-                            // budget.
-                            shared.metrics.set_queue_depth(shard, 0);
-                            return;
-                        }
-                        records_processed += 1;
-                        // The service's ingest clock already
-                        // rejected regressing windows, so this
-                        // cannot fail; stay defensive anyway.
-                        if extractor.push(record).is_err() {
-                            debug_assert!(false, "service clock admitted a stale record");
-                        }
-                    }
                     WorkerMsg::Batch { records, advance } => {
                         if let Some(n) = kill_after {
-                            // Record-granular so the fault hook dies at
-                            // the exact same record count as the
-                            // record-at-a-time path.
+                            // Fault hook, record-granular so the death
+                            // point does not depend on batch size: die
+                            // abruptly — skip the drain/Done epilogue
+                            // exactly as a crashed thread would. Per
+                            // incarnation: a respawned worker dies again
+                            // after `after_records` more records, so a
+                            // long enough feed deterministically exhausts
+                            // any respawn budget.
                             for i in 0..records.len() {
                                 if records_processed >= n {
                                     shared.metrics.set_queue_depth(shard, 0);
@@ -484,7 +455,8 @@ impl MonitorService {
                 ));
             }
         }
-        let (shared, map, max_gap) = Self::scaffold(config, &network, &io, None)?;
+        let live = LiveState::new(&config.params);
+        let (shared, map, max_gap, live) = Self::scaffold(config, &network, &io, live)?;
         shared.metrics.set_retry_stats(retry_stats);
         shared
             .metrics
@@ -494,7 +466,7 @@ impl MonitorService {
         // Merger input is unbounded: its producers are the bounded-channel
         // workers, so it is already flow-controlled by the record channels.
         let (merger_tx, merger_rx) = unbounded::<MergerMsg>();
-        let merger = Merger::new(shared.clone(), map.clone(), boundary.clone(), max_gap);
+        let merger = Merger::new(shared.clone(), map.clone(), boundary.clone(), max_gap, live);
         let merger = std::thread::Builder::new()
             .name("cps-monitor-merger".to_string())
             .spawn(move || merger.run(merger_rx))
@@ -621,10 +593,7 @@ impl MonitorService {
         // about to be dropped as incomplete below.
         let mut max_seq = base.last_seq;
         for (_, e) in &entries {
-            let end = match &e.op {
-                WalOp::Batch { records, .. } => e.seq + records.len().saturating_sub(1) as u64,
-                _ => e.seq,
-            };
+            let end = e.seq + e.op.records().len().saturating_sub(1) as u64;
             max_seq = max_seq.max(end);
         }
         // Drop every frame of an incomplete flush (see the grammar notes
@@ -660,7 +629,7 @@ impl MonitorService {
         } else {
             LiveState::new(&config.params)
         };
-        let (shared, map, max_gap) = Self::scaffold(config, &network, &io, Some(live))?;
+        let (shared, map, max_gap, live) = Self::scaffold(config, &network, &io, live)?;
         shared.metrics.set_retry_stats(retry_stats);
         shared
             .metrics
@@ -687,6 +656,7 @@ impl MonitorService {
             map.clone(),
             boundary.clone(),
             max_gap,
+            live,
             &base.merger,
         );
 
@@ -730,16 +700,8 @@ impl MonitorService {
             for (shard, entry) in &entries {
                 let shard = *shard;
                 match &entry.op {
-                    WalOp::Record(record) => {
-                        let record = *record;
-                        replayed_records += 1;
-                        if current_window.is_none_or(|w| record.window > w) {
-                            current_window = Some(record.window);
-                        }
-                        let _ = extractors[shard].push(record);
-                    }
-                    WalOp::Batch { records, .. } => {
-                        for &record in records {
+                    WalOp::Record(_) | WalOp::Batch { .. } => {
+                        for &record in entry.op.records() {
                             replayed_records += 1;
                             if current_window.is_none_or(|w| record.window > w) {
                                 current_window = Some(record.window);
@@ -909,8 +871,8 @@ impl MonitorService {
         config: &MonitorConfig,
         network: &Arc<RoadNetwork>,
         io: &Io,
-        live: Option<LiveState>,
-    ) -> Result<(Arc<SharedState>, Arc<ShardMap>, u32), String> {
+        mut live: LiveState,
+    ) -> Result<(Arc<SharedState>, Arc<ShardMap>, u32, LiveState), String> {
         let params = config.params;
         let spec = config.spec;
         let map = Arc::new(ShardMap::build(
@@ -929,7 +891,6 @@ impl MonitorService {
         };
         // Epoch 0 carries the initial read model: empty for a fresh start,
         // the restored state for a recovery — readers never see a gap.
-        let mut live = live.unwrap_or_else(|| LiveState::new(&params));
         let initial = live.publishable(0);
         let serve = Arc::new(ServeState::new(
             ServeContext {
@@ -950,7 +911,6 @@ impl MonitorService {
             params,
             spec,
             metrics: Metrics::new(config.shards),
-            live: Mutex::new(live),
             store,
             serve,
             serving: config.serving,
@@ -961,7 +921,7 @@ impl MonitorService {
             .metrics
             .snapshots_published
             .fetch_add(1, Ordering::Relaxed);
-        Ok((shared, map, max_gap_windows(&params, spec)))
+        Ok((shared, map, max_gap_windows(&params, spec), live))
     }
 
     fn open_writers(config: &MonitorConfig, io: &Io) -> Result<Vec<Option<WalWriter>>, String> {
@@ -995,18 +955,65 @@ impl MonitorService {
         }
     }
 
-    /// Feeds one record. Returns `Ok(true)` if accepted (and, with a WAL,
-    /// durably logged), `Ok(false)` if dropped by a full channel under
+    /// Feeds one record: [`ingest_batch`](Self::ingest_batch) for a batch
+    /// of one. Returns `Ok(true)` if accepted (and, with a WAL, durably
+    /// logged), `Ok(false)` if dropped by a full channel under
     /// [`OverflowPolicy::Drop`] (or the drop-burst fault hook), shed by
     /// the `admission.shed` policy, or diverted to the quarantine
-    /// dead-letter buffer, and a typed [`MonitorError`] otherwise. Every
-    /// not-accepted outcome is counted — dropped, shed, and quarantined
-    /// records each have their own metric, so
-    /// `ingested + dropped + shed + quarantined == offered` holds exactly.
-    /// Every error is recoverable in the sense that the service keeps
-    /// running; a [`MonitorError::Wal`] additionally means the record is
-    /// *not* durable and should be re-fed after [`recover`](Self::recover).
+    /// dead-letter buffer, and a typed [`MonitorError`] otherwise.
     pub fn ingest(&mut self, record: AtypicalRecord) -> Result<bool, MonitorError> {
+        self.ingest_records(std::iter::once(record)).map(|n| n == 1)
+    }
+
+    /// Feeds a whole window-ordered batch: one admission pass splits it
+    /// into per-shard sub-batches, one channel send per non-empty shard
+    /// delivers them, and one WAL frame per sub-batch makes them durable
+    /// (CRC, write, and group-commit fsync amortized across the
+    /// sub-batch). Window-advance broadcasts collapse to at most one,
+    /// after the flush. The resulting state does not depend on how the
+    /// feed is cut into batches.
+    ///
+    /// Returns the number of records accepted. Every not-accepted outcome
+    /// is counted — records dropped (a full channel under
+    /// [`OverflowPolicy::Drop`], the drop-burst fault hook), shed
+    /// (`admission.shed`) and quarantined (the dead-letter buffer) each
+    /// have their own metric, so
+    /// `ingested + dropped + shed + quarantined == offered` holds exactly.
+    ///
+    /// Every error is recoverable in the sense that the service keeps
+    /// running; a [`MonitorError::Wal`] additionally means some records
+    /// are *not* durable. On an error, a feed prefix of the batch may
+    /// already be accepted and durably logged; recover and resume at
+    /// [`RecoveryReport::resume_from`] to apply each record exactly once.
+    pub fn ingest_batch(&mut self, batch: &RecordBatch) -> Result<u64, MonitorError> {
+        self.ingest_records(batch.iter())
+    }
+
+    fn ingest_records(
+        &mut self,
+        records: impl Iterator<Item = AtypicalRecord>,
+    ) -> Result<u64, MonitorError> {
+        let entry_window = self.current_window;
+        let mut accepted = 0u64;
+        for record in records {
+            accepted += u64::from(self.admit(record, entry_window)?);
+        }
+        accepted -= self.commit_pending(entry_window)?;
+        self.maybe_checkpoint();
+        self.maybe_rebalance();
+        Ok(accepted)
+    }
+
+    /// The per-record admission step: quarantine checks, the ingest
+    /// clock, the drop-burst hook, then the record joins its shard's
+    /// pending sub-batch. Returns whether it did. An error first delivers
+    /// the accepted prefix, so it leaves a clean boundary.
+    #[inline]
+    fn admit(
+        &mut self,
+        record: AtypicalRecord,
+        entry_window: Option<TimeWindow>,
+    ) -> Result<bool, MonitorError> {
         // Malformed records are diverted before shard routing (routing
         // them would index out of the shard map) and never move the clock:
         // an out-of-range sensor is garbage, so its window is untrusted.
@@ -1014,11 +1021,12 @@ impl MonitorService {
             return Ok(false);
         }
         let shard = self.map.shard_of(record.sensor);
-        match self.current_window {
-            Some(current) if record.window < current => {
+        if let Some(current) = self.current_window {
+            if record.window < current {
                 if self.quarantine_stale(&record, current) {
                     return Ok(false);
                 }
+                self.commit_pending(entry_window)?;
                 return Err(MonitorError::OutOfOrder {
                     shard,
                     cause: OutOfOrderRecord {
@@ -1027,9 +1035,6 @@ impl MonitorService {
                     },
                 });
             }
-            Some(current) if record.window > current => self.broadcast_advance(record.window)?,
-            None => self.broadcast_advance(record.window)?,
-            _ => {}
         }
         if self.admission.dedup && self.current_window != Some(record.window) {
             self.seen_in_window.clear();
@@ -1039,7 +1044,7 @@ impl MonitorService {
             return Ok(false);
         }
 
-        // The drop-burst hook sits after the clock advance: a dropped
+        // The drop-burst hook sits after the clock update: a dropped
         // record still moves every shard's clock, exactly like a record
         // dropped by a full channel.
         let seq = self.ingest_seq;
@@ -1055,165 +1060,16 @@ impl MonitorService {
         }
 
         if self.dead[shard] {
-            return Err(self.dead_shard_error(shard));
+            let err = self.dead_shard_error(shard);
+            self.commit_pending(entry_window)?;
+            return Err(err);
         }
-        match self.overflow {
-            OverflowPolicy::Block => {
-                if self.admission.shed {
-                    // Shed policy: backpressure is never allowed to become
-                    // an unbounded wait — a full channel sheds the record
-                    // (counted globally and per shard) instead of blocking
-                    // the feed.
-                    let mut msg = WorkerMsg::Record(record);
-                    loop {
-                        match self.senders[shard].try_send(msg) {
-                            Ok(()) => break,
-                            Err(TrySendError::Full(_)) => {
-                                self.shared.metrics.count_shed(shard, 1);
-                                return Ok(false);
-                            }
-                            Err(TrySendError::Disconnected(returned)) => {
-                                if self.dead[shard] {
-                                    self.mark_dead(shard);
-                                    return Err(MonitorError::WorkerDied { shard });
-                                }
-                                self.respawn(shard)?;
-                                msg = returned;
-                            }
-                        }
-                    }
-                } else if self.senders[shard].send(WorkerMsg::Record(record)).is_err() {
-                    self.respawn(shard)?;
-                    if self.senders[shard].send(WorkerMsg::Record(record)).is_err() {
-                        self.mark_dead(shard);
-                        return Err(MonitorError::WorkerDied { shard });
-                    }
-                }
-            }
-            OverflowPolicy::Drop => {
-                let mut msg = WorkerMsg::Record(record);
-                loop {
-                    match self.senders[shard].try_send(msg) {
-                        Ok(()) => break,
-                        Err(TrySendError::Full(_)) => {
-                            self.shared
-                                .metrics
-                                .records_dropped
-                                .fetch_add(1, Ordering::Relaxed);
-                            return Ok(false);
-                        }
-                        Err(TrySendError::Disconnected(returned)) => {
-                            if self.dead[shard] {
-                                // The respawned worker died again before
-                                // accepting anything; give up on the send.
-                                self.mark_dead(shard);
-                                return Err(MonitorError::WorkerDied { shard });
-                            }
-                            self.respawn(shard)?;
-                            msg = returned;
-                        }
-                    }
-                }
-            }
-        }
-        self.log_op(shard, WalOp::Record(record))?;
-        self.shared
-            .metrics
-            .records_ingested
-            .fetch_add(1, Ordering::Relaxed);
-        self.records_since_ck += 1;
         if self.rebalance_interval > 0 {
             self.sensor_counts[record.sensor.index()] += 1;
             self.records_since_rb += 1;
         }
-        self.maybe_checkpoint();
-        self.maybe_rebalance();
+        self.pending[shard].push(record);
         Ok(true)
-    }
-
-    /// Feeds a whole window-ordered batch through the batched hot path:
-    /// one partition pass splits it into per-shard sub-batches, one
-    /// channel send per non-empty shard delivers them, and one WAL frame
-    /// per sub-batch makes them durable (CRC, write, and group-commit
-    /// fsync amortized across the sub-batch). Window-advance broadcasts
-    /// collapse to at most one, after the flush.
-    ///
-    /// Returns the number of records accepted (drop-burst and full-channel
-    /// drops under [`OverflowPolicy::Drop`] are excluded but counted in
-    /// the metrics). The result is bit-identical to feeding the same
-    /// records through [`ingest`](Self::ingest) one at a time.
-    ///
-    /// On an error, a feed prefix of the batch may already be accepted and
-    /// durably logged; recover and resume at
-    /// [`RecoveryReport::resume_from`] to apply each record exactly once,
-    /// exactly as with `ingest`.
-    pub fn ingest_batch(&mut self, batch: &RecordBatch) -> Result<u64, MonitorError> {
-        let entry_window = self.current_window;
-        let mut accepted = 0u64;
-        for i in 0..batch.len() {
-            let record = batch.get(i);
-            // Same admission order as `ingest`: malformed before routing,
-            // stale-beyond-tolerance in the regression arm, duplicate
-            // after the clock update.
-            if self.quarantine_malformed(&record) {
-                continue;
-            }
-            let shard = self.map.shard_of(record.sensor);
-            if let Some(current) = self.current_window {
-                if record.window < current {
-                    if self.quarantine_stale(&record, current) {
-                        continue;
-                    }
-                    // Deliver the accepted prefix before reporting the
-                    // regression, so the error leaves a clean boundary.
-                    self.commit_pending(entry_window)?;
-                    return Err(MonitorError::OutOfOrder {
-                        shard,
-                        cause: OutOfOrderRecord {
-                            record,
-                            current_window: current,
-                        },
-                    });
-                }
-            }
-            if self.admission.dedup && self.current_window != Some(record.window) {
-                self.seen_in_window.clear();
-            }
-            self.current_window = Some(record.window);
-            if self.quarantine_duplicate(&record) {
-                continue;
-            }
-
-            // Same hook placement as `ingest`: a dropped record still
-            // moves the clock.
-            let seq = self.ingest_seq;
-            self.ingest_seq += 1;
-            if let Some(burst) = self.faults.drop_burst {
-                if seq >= burst.at_record && seq - burst.at_record < burst.len {
-                    self.shared
-                        .metrics
-                        .records_dropped
-                        .fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-            }
-
-            if self.dead[shard] {
-                let err = self.dead_shard_error(shard);
-                self.commit_pending(entry_window)?;
-                return Err(err);
-            }
-            if self.rebalance_interval > 0 {
-                self.sensor_counts[record.sensor.index()] += 1;
-                self.records_since_rb += 1;
-            }
-            self.pending[shard].push(record);
-            accepted += 1;
-        }
-        accepted -= self.commit_pending(entry_window)?;
-        self.maybe_checkpoint();
-        self.maybe_rebalance();
-        Ok(accepted)
     }
 
     /// Flushes the pending sub-batches, then broadcasts the window advance
@@ -1241,8 +1097,7 @@ impl MonitorService {
     /// per delivered sub-batch, all frames stamped with the flush's
     /// `(flush_first, flush_len)` so recovery treats the flush
     /// atomically. On an error the pending buffers are cleared: delivered-
-    /// but-unlogged records are exactly the send-succeeded/append-failed
-    /// edge of `ingest` — not durable, resolved by recovery.
+    /// but-unlogged records are not durable, and recovery resolves them.
     fn flush_pending(&mut self, advance: Option<TimeWindow>) -> Result<u64, MonitorError> {
         let result = self.flush_pending_inner(advance);
         if result.is_err() {
@@ -1345,9 +1200,8 @@ impl MonitorService {
                         match self.senders[shard].try_send(msg) {
                             Ok(()) => break,
                             Err(TrySendError::Full(_)) => {
-                                // The whole sub-batch drops, mirroring the
-                                // per-record policy at batch granularity;
-                                // cleared here so phase 2 never logs it.
+                                // The whole sub-batch drops; cleared here
+                                // so phase 2 never logs it.
                                 let n = self.pending[shard].len() as u64;
                                 self.shared
                                     .metrics
@@ -1705,14 +1559,11 @@ impl MonitorService {
             let mut regenerated: Vec<SealedRawEvent> = Vec::new();
             for entry in &entries {
                 match &entry.op {
-                    WalOp::Record(record) => {
-                        let _ = extractor.push(*record);
-                    }
                     // Unconditional (no flush-completeness check): the
                     // send-then-append invariant means a logged frame was
                     // delivered, so the dead worker held these records.
-                    WalOp::Batch { records, .. } => {
-                        for &record in records {
+                    WalOp::Record(_) | WalOp::Batch { .. } => {
+                        for &record in entry.op.records() {
                             let _ = extractor.push(record);
                         }
                     }
@@ -1877,9 +1728,9 @@ impl MonitorService {
     /// 3. read the per-shard sealed counters — final, since every worker
     ///    has acked;
     /// 4. barrier the merger (channel FIFO ⇒ it has applied every
-    ///    pre-barrier message) for its serialized pool;
-    /// 5. snapshot the live state under its lock;
-    /// 6. write the checkpoint atomically, then delete segments below
+    ///    pre-barrier message) for its reconciliation pool and the live
+    ///    state it owns;
+    /// 5. write the checkpoint atomically, then delete segments below
     ///    every floor.
     fn checkpoint_now(&mut self) -> Result<(), MonitorError> {
         let wal_dir = self
@@ -1931,30 +1782,9 @@ impl MonitorService {
         merger_tx
             .send(MergerMsg::Checkpoint { reply: reply_tx })
             .map_err(|_| wal_err(None, "merger channel closed".to_string()))?;
-        let merger_bytes = reply_rx
+        let (merger, live) = reply_rx
             .recv_timeout(BARRIER_TIMEOUT)
             .map_err(|_| wal_err(None, "merger barrier timed out".to_string()))?;
-        let merger = MergerCkpt::decode(&mut merger_bytes.as_slice())
-            .map_err(|e| wal_err(None, e.to_string()))?;
-
-        let live = {
-            let live = self.shared.live.lock();
-            LiveCkpt {
-                next_id: live.ids.peek(),
-                micros_by_day: live
-                    .micros_by_day
-                    .iter()
-                    .map(|(day, micros)| (*day, micros.as_ref().clone()))
-                    .collect(),
-                region_f_by_day: live
-                    .region_f_by_day
-                    .iter()
-                    .map(|(day, f)| (*day, f.as_ref().clone()))
-                    .collect(),
-                macros: live.macros.snapshot(),
-                persisted_days: live.persisted_days.iter().copied().collect(),
-            }
-        };
 
         let doc = CheckpointDoc {
             last_seq: self.wal_seq,
@@ -2046,18 +1876,13 @@ impl MonitorService {
 
 /// Cloneable, thread-safe query facade over the service.
 ///
-/// Two read paths coexist:
-///
-/// - The methods below answer against the **live state** under its mutex —
-///   always the absolute freshest answer, but each call contends with the
-///   merger for the lock.
-/// - [`read_view`](Self::read_view) pins the latest **published snapshot**
-///   as a lock-free [`ReadView`] (and [`serve`](Self::serve) adds the
-///   result cache in front). Snapshot reads never block ingest and a
-///   pinned view is internally consistent across a multi-step drill-down;
-///   they trail the live state by at most the configured publication
-///   cadence. At quiescence (after [`MonitorService::finish`]) both paths
-///   answer identically.
+/// Every read goes through the latest **published snapshot**:
+/// [`read_view`](Self::read_view) pins it as a [`ReadView`] (one atomic
+/// load) and [`serve`](Self::serve) adds the result cache in front. Reads
+/// never block ingest, a pinned view is internally consistent across a
+/// multi-step drill-down, and it trails the merger's state by at most the
+/// configured publication cadence; after [`MonitorService::finish`] the
+/// latest snapshot is the final state.
 #[derive(Clone)]
 pub struct MonitorHandle {
     shared: Arc<SharedState>,
@@ -2069,8 +1894,8 @@ impl MonitorHandle {
         self.shared.metrics.snapshot(self.shared.started.elapsed())
     }
 
-    /// Pins the latest published snapshot as a lock-free [`ReadView`]:
-    /// one atomic load, no contention with the merger.
+    /// Pins the latest published snapshot as a [`ReadView`]: one atomic
+    /// load, no contention with the merger.
     pub fn read_view(&self) -> ReadView {
         self.serve().view()
     }
@@ -2081,39 +1906,10 @@ impl MonitorHandle {
         ServeHandle::new(self.shared.serve.clone())
     }
 
-    /// The live macro-clusters (Algorithm 3 fixpoint over every finalized
-    /// micro-cluster so far), from the mutex path.
-    pub fn live_macro_clusters(&self) -> Vec<AtypicalCluster> {
-        self.shared.live.lock().macros.snapshot()
-    }
-
-    /// Every live (not yet persisted) micro-cluster, from the mutex path.
-    pub fn live_micro_clusters(&self) -> Vec<AtypicalCluster> {
-        let live = self.shared.live.lock();
-        live.micros_by_day
-            .values()
-            .flat_map(|v| v.iter().cloned())
-            .collect()
-    }
-
-    /// One day's micro-clusters, from live memory or the snapshot store.
-    pub fn micro_clusters_for_day(&self, day: u32) -> cps_core::Result<Vec<AtypicalCluster>> {
-        {
-            let live = self.shared.live.lock();
-            if let Some(micros) = live.micros_by_day.get(&day) {
-                return Ok(micros.as_ref().clone());
-            }
-        }
-        match &self.shared.store {
-            Some(store) => Ok(store.load(ForestLevel::Day, day)?.unwrap_or_default()),
-            None => Ok(Vec::new()),
-        }
-    }
-
     /// Builds an offline atypical forest over days
-    /// `[first_day, first_day + n_days)` from the service's micro-clusters
-    /// (live memory plus the snapshot store) and materializes every week
-    /// and month level the range covers.
+    /// `[first_day, first_day + n_days)` from one pinned view's
+    /// micro-clusters (live days plus the snapshot store) and
+    /// materializes every week and month level the range covers.
     ///
     /// Roll-ups fan out over the configured [`Params::parallelism`]
     /// workers through the deterministic parallel engine, so the returned
@@ -2124,112 +1920,13 @@ impl MonitorHandle {
         first_day: u32,
         n_days: u32,
     ) -> cps_core::Result<atypical::AtypicalForest> {
+        let view = self.read_view();
         let mut forest = atypical::AtypicalForest::new(self.shared.spec, self.shared.params);
         for day in first_day..first_day.saturating_add(n_days) {
-            forest.insert_day(day, self.micro_clusters_for_day(day)?);
+            let micros = view.micro_clusters_for_day(day)?;
+            forest.insert_day(day, Arc::unwrap_or_clone(micros));
         }
         forest.materialize_range(first_day, n_days);
         Ok(forest)
-    }
-
-    /// Red regions over a whole-day range, with their `F` values, from the
-    /// incrementally maintained per-day severity vectors (equal to
-    /// [`atypical::redzone::RedZones::compute`] on the same micro-clusters
-    /// by distributivity, Property 4).
-    pub fn red_regions(&self, first_day: u32, n_days: u32) -> Vec<(RegionId, Severity)> {
-        let range = self.shared.spec.day_range(first_day, n_days);
-        let f = self.compose_region_f(first_day, n_days);
-        self.mark_red(&f, range)
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, red)| red)
-            .map(|(i, _)| (RegionId::new(i as u32), f[i]))
-            .collect()
-    }
-
-    /// Red-zone-guided query over whole days (Algorithm 4): micro-clusters
-    /// outside every red region are pruned — safely, per Property 5 —
-    /// before time-of-day-aligned integration.
-    pub fn query_guided(&self, first_day: u32, n_days: u32) -> cps_core::Result<GuidedQuery> {
-        let spec = self.shared.spec;
-        let params = &self.shared.params;
-        let range = spec.day_range(first_day, n_days);
-        let n_sensors = self.shared.network.num_sensors() as u32;
-        let threshold = significance_threshold(params, range, n_sensors);
-
-        let f = self.compose_region_f(first_day, n_days);
-        let red = self.mark_red(&f, range);
-        let num_red_regions = red.iter().filter(|&&r| r).count();
-
-        let mut candidates = Vec::new();
-        for day in first_day..first_day.saturating_add(n_days) {
-            candidates.extend(self.micro_clusters_for_day(day)?);
-        }
-        let candidate_clusters = candidates.len();
-        let partition = &self.shared.partition;
-        let inputs: Vec<AtypicalCluster> = candidates
-            .into_iter()
-            .filter(|c| c.sf.keys().any(|s| red[partition.region_of(s).index()]))
-            .collect();
-        let input_clusters = inputs.len();
-
-        let alignment = TimeAlignment::TimeOfDay {
-            windows_per_day: spec.windows_per_day(),
-        };
-        // Query-local id generator (fixed base): queries never consume
-        // service ids, so the same state always yields the same result —
-        // and the mutex path agrees bit-for-bit with [`ReadView`].
-        let mut ids = ClusterIdGen::new(QUERY_ID_BASE);
-        let (macros, _stats) = integrate_aligned(inputs, params, alignment, &mut ids);
-        Ok(GuidedQuery {
-            range,
-            macros,
-            threshold,
-            num_red_regions,
-            candidate_clusters,
-            input_clusters,
-        })
-    }
-
-    /// The significant clusters of a whole-day range (Definition 5),
-    /// via [`query_guided`](Self::query_guided).
-    pub fn significant_clusters(
-        &self,
-        first_day: u32,
-        n_days: u32,
-    ) -> cps_core::Result<Vec<AtypicalCluster>> {
-        let mut result = self.query_guided(first_day, n_days)?;
-        result.macros.retain(|c| c.severity() > result.threshold);
-        Ok(result.macros)
-    }
-
-    /// Sums the per-day region `F` vectors over `[first_day, first_day + n_days)`.
-    fn compose_region_f(&self, first_day: u32, n_days: u32) -> Vec<Severity> {
-        let num_regions = self.shared.partition.num_regions() as usize;
-        let mut f = vec![Severity::ZERO; num_regions];
-        let live = self.shared.live.lock();
-        for (_, day_f) in live
-            .region_f_by_day
-            .range(first_day..first_day.saturating_add(n_days))
-        {
-            for (acc, &s) in f.iter_mut().zip(day_f.iter()) {
-                *acc += s;
-            }
-        }
-        f
-    }
-
-    /// Applies the per-region significance-density test of
-    /// [`atypical::redzone::RedZones::compute`] to composed `F` values.
-    fn mark_red(&self, f: &[Severity], range: TimeRange) -> Vec<bool> {
-        let partition = &self.shared.partition;
-        let params = &self.shared.params;
-        f.iter()
-            .enumerate()
-            .map(|(i, &fv)| {
-                let n_i = partition.sensors_in(RegionId::new(i as u32)).len() as u32;
-                n_i > 0 && fv >= significance_threshold(params, range, n_i)
-            })
-            .collect()
     }
 }

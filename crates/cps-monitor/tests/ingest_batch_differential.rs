@@ -1,27 +1,32 @@
 //! The batched-ingest differential matrix: for seeded feeds (uniform and
 //! hot-region-skewed) × batch sizes {1, 7, 64, 256} (every size leaving
 //! an odd tail chunk) × shard counts {1, 4}, feeding the records through
-//! [`MonitorService::ingest_batch`] must be *record-equivalent* to the
-//! record-at-a-time oracle:
+//! [`MonitorService::ingest_batch`] must not depend on how the feed is
+//! cut into batches:
 //!
-//! - one shard: bit-identical final state — live micro-clusters with
-//!   their IDs and finalization order, the macro fixpoint set, and the
-//!   forest snapshot's day level;
-//! - four shards: canonical micro-cluster multiset equality (merger
-//!   arrival order is scheduling-dependent by design, exactly as in the
-//!   record-path sweeps);
+//! - every cell: the micro-cluster multiset equals that of one in-order
+//!   [`OnlineExtractor`] over the same feed — the reference that shares
+//!   no code with the service's routing, flush, or merger;
+//! - one shard: bit-identical final state across batch sizes, one record
+//!   per call (`ingest`) included — live micro-clusters with their IDs
+//!   and finalization order, the macro fixpoint set, and the forest
+//!   snapshot's day level;
+//! - four shards: canonical equality only (merger arrival order is
+//!   scheduling-dependent by design);
 //! - always: conserved metrics — every record fed is either ingested or
-//!   counted dropped, and batch size 1 degenerates to the oracle exactly.
+//!   counted dropped.
 //!
 //! A WAL + restart cell closes the loop: a batched run interrupted by a
 //! clean shutdown, recovered, and resumed batched equals the
-//! uninterrupted record-at-a-time oracle bit-identically.
+//! uninterrupted run bit-identically.
 
+use atypical::online::OnlineExtractor;
 use atypical::AtypicalCluster;
-use cps_core::{AtypicalRecord, Params, RecordBatch, Severity, WindowSpec};
+use cps_core::{AtypicalRecord, Params, RecordBatch, ScratchDir, WindowSpec};
 use cps_geo::RoadNetwork;
 use cps_monitor::{DurabilityConfig, FsyncPolicy, MonitorConfig, MonitorService, OverflowPolicy};
 use cps_sim::{Scale, SimConfig, TrafficSim};
+use cps_testkit::{canonicalize, Canonical};
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
@@ -80,23 +85,14 @@ type Fingerprint = (
     Vec<AtypicalCluster>,
 );
 
-/// Order-free cluster form for the multi-shard cells (IDs excluded — they
-/// are admission-order artifacts).
-type Canonical = (Vec<(u32, Severity)>, Vec<(u32, Severity)>);
-
-fn canonicalize(clusters: &[AtypicalCluster]) -> Vec<Canonical> {
-    let mut out: Vec<Canonical> = clusters
-        .iter()
-        .map(|c| {
-            let mut sf: Vec<(u32, Severity)> = c.sf.iter().map(|(s, v)| (s.raw(), v)).collect();
-            let mut tf: Vec<(u32, Severity)> = c.tf.iter().map(|(w, v)| (w.raw(), v)).collect();
-            sf.sort_unstable();
-            tf.sort_unstable();
-            (sf, tf)
-        })
-        .collect();
-    out.sort();
-    out
+/// The reference every cell is held to: the feed through one in-order
+/// extractor, in canonical (order- and ID-free) form.
+fn reference(feed: &Feed) -> Vec<Canonical> {
+    let mut extractor = OnlineExtractor::new(&feed.network, feed.params, feed.spec);
+    for &record in &feed.records {
+        extractor.push(record).expect("feed is window-monotone");
+    }
+    canonicalize(&extractor.finish())
 }
 
 fn fingerprint(service: MonitorService) -> Fingerprint {
@@ -107,14 +103,15 @@ fn fingerprint(service: MonitorService) -> Fingerprint {
         .expect("forest snapshot")
         .day(0)
         .to_vec();
+    let view = handle.read_view();
     (
-        handle.live_micro_clusters(),
-        handle.live_macro_clusters(),
+        view.live_micro_clusters(),
+        view.live_macro_clusters().to_vec(),
         forest_day,
     )
 }
 
-/// The record-at-a-time oracle.
+/// One record per `ingest` call: the batch-of-one end of the sweep.
 fn oracle_run(feed: &Feed, shards: usize) -> Fingerprint {
     let cfg = config(feed, shards);
     let mut service = MonitorService::start(&cfg, feed.network.clone()).expect("service starts");
@@ -153,13 +150,7 @@ fn batched_run(feed: &Feed, shards: usize, batch_size: usize) -> Fingerprint {
         feed.name
     );
     assert_eq!(metrics.records_dropped, 0, "Block policy never drops");
-    if batch_size > 1 {
-        assert!(
-            metrics.batches_ingested > 0,
-            "{}: batched path not exercised",
-            feed.name
-        );
-    }
+    assert!(metrics.batches_ingested > 0, "{}", feed.name);
     fingerprint(service)
 }
 
@@ -182,17 +173,23 @@ fn batch_sizes_exercise_odd_tails() {
 }
 
 /// One shard: every cell of the feed × batch-size matrix is bit-identical
-/// to the oracle — cluster IDs, finalization order, forest snapshot.
-/// Batch size 1 is the degenerate case and must also match exactly.
+/// to one record per call — cluster IDs, finalization order, forest
+/// snapshot — and that state is the single extractor's.
 #[test]
 fn batched_ingest_is_bit_identical_to_oracle_one_shard() {
     for feed in feeds() {
         let oracle = oracle_run(feed, 1);
+        assert_eq!(
+            canonicalize(&oracle.0),
+            reference(feed),
+            "{}: diverged from the single extractor",
+            feed.name
+        );
         for &batch_size in &BATCH_SIZES {
             let batched = batched_run(feed, 1, batch_size);
             assert_eq!(
                 batched, oracle,
-                "{} × batch {batch_size}: diverged from record-at-a-time oracle",
+                "{} × batch {batch_size}: diverged from one record per call",
                 feed.name
             );
         }
@@ -200,16 +197,22 @@ fn batched_ingest_is_bit_identical_to_oracle_one_shard() {
 }
 
 /// Four shards: merger arrival order varies, so the matrix compares the
-/// canonical micro-cluster multiset (the same relaxation the record-path
-/// crash sweeps use).
+/// canonical micro-cluster multiset (the same relaxation the crash sweeps
+/// use) — every cell against the single extractor.
 #[test]
 fn batched_ingest_is_canonically_equal_four_shards() {
     for feed in feeds() {
-        let oracle = canonicalize(&oracle_run(feed, 4).0);
+        let reference = reference(feed);
+        assert_eq!(
+            canonicalize(&oracle_run(feed, 4).0),
+            reference,
+            "{}: one record per call diverged from the single extractor",
+            feed.name
+        );
         for &batch_size in &BATCH_SIZES {
             let batched = canonicalize(&batched_run(feed, 4, batch_size).0);
             assert_eq!(
-                batched, oracle,
+                batched, reference,
                 "{} × batch {batch_size}: micro-cluster multiset diverged",
                 feed.name
             );
@@ -233,15 +236,13 @@ fn wal_config(feed: &Feed, wal_dir: &Path) -> MonitorConfig {
 
 /// WAL + restart cell: a batched run cut off by a clean shutdown
 /// mid-feed, recovered (replaying batch frames), and resumed *batched*
-/// from `resume_from` equals the uninterrupted record-at-a-time oracle
-/// bit-identically — and the resume point lands mid-feed, so the replayed
-/// suffix really contained batch frames.
+/// from `resume_from` equals the uninterrupted run bit-identically (and
+/// with it the single extractor) — and the resume point lands mid-feed,
+/// so the replayed suffix really contained batch frames.
 #[test]
 fn batched_wal_restart_resumes_bit_identically() {
     let feed = &feeds()[1]; // hot-region: the skewed feed
-    let wal_dir = std::env::temp_dir().join(format!("cps-batch-restart-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&wal_dir);
-    std::fs::create_dir_all(&wal_dir).expect("create wal dir");
+    let wal_dir = ScratchDir::new("batch-restart");
     let cfg = wal_config(feed, &wal_dir);
 
     let half = feed.records.len() / 2;
@@ -268,7 +269,7 @@ fn batched_wal_restart_resumes_bit_identically() {
     assert_eq!(
         resumed,
         oracle_run(feed, 1),
-        "batched restart diverged from the uninterrupted oracle"
+        "batched restart diverged from the uninterrupted run"
     );
-    let _ = std::fs::remove_dir_all(&wal_dir);
+    assert_eq!(canonicalize(&resumed.0), reference(feed));
 }

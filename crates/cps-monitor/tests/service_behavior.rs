@@ -1,12 +1,11 @@
 //! Service-level behavior: ingest ordering, overflow accounting, snapshot
 //! persistence, and the incrementally maintained red zones.
 
-use atypical::redzone::RedZones;
-use cps_core::{AtypicalRecord, RegionId, Severity, TimeWindow};
+use cps_core::{AtypicalRecord, ScratchDir, TimeWindow};
 use cps_geo::grid::UniformGrid;
 use cps_monitor::{MonitorConfig, MonitorService, OverflowPolicy};
 use cps_sim::{Scale, SimConfig, TrafficSim};
-use std::path::PathBuf;
+use cps_testkit::reference_guided;
 use std::sync::Arc;
 
 fn tiny_day() -> (TrafficSim, Vec<AtypicalRecord>) {
@@ -14,12 +13,6 @@ fn tiny_day() -> (TrafficSim, Vec<AtypicalRecord>) {
     let mut records = sim.atypical_day(0);
     records.sort_by_key(|r| (r.window, r.sensor));
     (sim, records)
-}
-
-fn tmp(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("cps-monitor-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
 }
 
 #[test]
@@ -92,10 +85,10 @@ fn drop_policy_accounts_for_every_record() {
 #[test]
 fn persisted_days_remain_queryable_and_red_zones_match_batch() {
     let (sim, records) = tiny_day();
-    let root = tmp("persist");
+    let root = ScratchDir::new("monitor-persist");
     let config = MonitorConfig {
         shards: 4,
-        snapshot_dir: Some(root.clone()),
+        snapshot_dir: Some(root.to_path_buf()),
         spec: sim.config().spec,
         ..MonitorConfig::default()
     };
@@ -114,32 +107,41 @@ fn persisted_days_remain_queryable_and_red_zones_match_batch() {
     assert!(metrics.micro_clusters > 0, "{metrics}");
 
     // The persisted day left live memory but still answers queries.
-    assert!(handle.live_micro_clusters().is_empty());
-    let micros = handle.micro_clusters_for_day(0).expect("store read");
+    let view = handle.read_view();
+    assert!(view.live_micro_clusters().is_empty());
+    let micros = view.micro_clusters_for_day(0).expect("store read");
     assert_eq!(micros.len() as u64, metrics.micro_clusters);
 
-    let result = handle.query_guided(0, 1).expect("guided query");
+    let result = view.query_guided(0, 1).expect("guided query");
     assert_eq!(result.candidate_clusters as u64, metrics.micro_clusters);
     assert!(result.num_red_regions > 0);
 
     // The incrementally composed red zones equal the batch computation
     // over the same micro-clusters (Property 4: F is distributive).
     let partition = UniformGrid::over(&network, config.red_cell_miles).partition(&network);
-    let range = config.spec.day_range(0, 1);
-    let zones = RedZones::compute(
-        &micros,
+    let (batch_red, batch_guided) = reference_guided(
+        &view,
         &partition,
         &config.params,
-        range,
+        config.spec,
         network.num_sensors() as u32,
+        0,
+        1,
     );
-    let incremental = handle.red_regions(0, 1);
-    let batch: Vec<(RegionId, Severity)> = (0..partition.num_regions())
-        .map(RegionId::new)
-        .filter(|&r| zones.is_red(r))
-        .map(|r| (r, zones.f_value(r)))
-        .collect();
-    assert_eq!(incremental, batch);
+    assert_eq!(view.red_regions(0, 1), batch_red);
+    assert_eq!(result, batch_guided);
+}
 
-    let _ = std::fs::remove_dir_all(&root);
+/// The monitor's live integration is always indexed; the TOML key that
+/// used to select the naive scan is gone, so a file still setting it is
+/// rejected like any other unknown key.
+#[test]
+fn removed_integration_key_is_an_unknown_key() {
+    let err = MonitorConfig::from_toml_str("indexed_integration = true").unwrap_err();
+    let unknown = MonitorConfig::from_toml_str("mystery_key = 1").unwrap_err();
+    assert_eq!(
+        err.replace("indexed_integration", "mystery_key"),
+        unknown,
+        "must be the plain unknown-key error"
+    );
 }

@@ -1,28 +1,22 @@
-//! The snapshot read path must never change an answer: at quiescence
-//! (after `finish`, which joins the merger behind its final publication)
-//! every query through a pinned [`ReadView`], through the cached
+//! The serving layer must never change an answer: at quiescence (after
+//! `finish`, which joins the merger behind its final publication) every
+//! query through a pinned [`ReadView`], through the cached
 //! [`ServeHandle`], and through a cache-disabled handle is bit-identical
-//! to the mutex-path oracle — with and without a snapshot store, and for
-//! a service rebuilt by crash recovery before it ingests anything new.
+//! to the batch recomputation of [`reference_guided`] — with and without
+//! a snapshot store, and for a service rebuilt by crash recovery before
+//! it ingests anything new.
 
+use atypical::AtypicalCluster;
+use cps_core::ScratchDir;
+use cps_geo::UniformGrid;
 use cps_monitor::{
     DurabilityConfig, FsyncPolicy, MonitorConfig, MonitorHandle, MonitorService, OverflowPolicy,
 };
 use cps_sim::{Scale, SimConfig, TrafficSim};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use cps_testkit::reference_guided;
 use std::sync::Arc;
 
 const DAYS: u32 = 3;
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir =
-        std::env::temp_dir().join(format!("cps-serving-diff-{}-{tag}-{n}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create test temp dir");
-    dir
-}
 
 fn sim() -> TrafficSim {
     // Hot-region skew on: the differential guarantee must hold for the
@@ -60,20 +54,44 @@ fn run_to_quiescence(config: &MonitorConfig, sim: &TrafficSim) -> MonitorHandle 
         metrics.snapshots_published > 0,
         "the merger must publish: {metrics}"
     );
+    // The final publication is the merger's whole state, not a lagging
+    // one: every cluster the metrics count is in the pinned view.
+    let view = handle.read_view();
+    let in_view: usize = (0..DAYS)
+        .map(|day| view.micro_clusters_for_day(day).expect("view query").len())
+        .sum();
+    assert_eq!(in_view as u64, metrics.micro_clusters, "{metrics}");
+    assert_eq!(
+        view.live_macro_clusters().len() as u64,
+        metrics.macro_clusters,
+        "{metrics}"
+    );
     handle
 }
 
-/// Every query of the surface, through all three read paths, over every
-/// whole-day range of the feed. The cached queries run twice so the
-/// second answer is served from the cache and must still match.
-fn assert_paths_agree(handle: &MonitorHandle) {
+/// Every query of the surface, through the pinned view and the cached
+/// handle, over every whole-day range of the feed, against the reference.
+/// The cached queries run twice so the second answer is served from the
+/// cache and must still match.
+fn assert_paths_agree(handle: &MonitorHandle, config: &MonitorConfig, sim: &TrafficSim) {
+    let network = sim.network();
+    let partition = UniformGrid::over(network, config.red_cell_miles).partition(network);
+    let n_sensors = network.num_sensors() as u32;
     let serve = handle.serve();
     let view = handle.read_view();
     for first in 0..DAYS {
         for n in 1..=(DAYS - first) {
-            let red = handle.red_regions(first, n);
-            let guided = handle.query_guided(first, n).expect("mutex query");
-            let significant = handle.significant_clusters(first, n).expect("mutex query");
+            let (red, guided) = reference_guided(
+                &view,
+                &partition,
+                &config.params,
+                config.spec,
+                n_sensors,
+                first,
+                n,
+            );
+            let significant: Vec<AtypicalCluster> =
+                guided.significant().into_iter().cloned().collect();
             assert_eq!(view.red_regions(first, n), red, "red_regions({first},{n})");
             assert_eq!(
                 view.query_guided(first, n).expect("view query"),
@@ -105,29 +123,22 @@ fn assert_paths_agree(handle: &MonitorHandle) {
         }
     }
     for day in 0..DAYS {
-        let micros = handle.micro_clusters_for_day(day).expect("mutex query");
         assert_eq!(
-            *view.micro_clusters_for_day(day).expect("view query"),
-            micros,
-            "micro_clusters_for_day({day})"
-        );
-        assert_eq!(
-            *serve.micro_clusters_for_day(day).expect("cached query"),
-            micros,
+            serve.micro_clusters_for_day(day).expect("cached query"),
+            view.micro_clusters_for_day(day).expect("view query"),
             "cached micro_clusters_for_day({day})"
         );
     }
-    let macros = handle.live_macro_clusters();
-    assert_eq!(*view.live_macro_clusters(), macros, "live_macro_clusters");
-    assert_eq!(*serve.live_macro_clusters(), macros);
+    assert_eq!(serve.live_macro_clusters(), view.live_macro_clusters());
 }
 
 /// All-live configuration: no store, every day answered from memory.
 #[test]
-fn snapshot_paths_match_mutex_at_quiescence() {
+fn snapshot_paths_match_reference_at_quiescence() {
     let sim = sim();
-    let handle = run_to_quiescence(&base_config(&sim), &sim);
-    assert_paths_agree(&handle);
+    let config = base_config(&sim);
+    let handle = run_to_quiescence(&config, &sim);
+    assert_paths_agree(&handle, &config, &sim);
     let stats = handle.serve().cache_stats();
     assert!(stats.hits > 0, "second rounds must hit: {stats:?}");
 }
@@ -136,11 +147,11 @@ fn snapshot_paths_match_mutex_at_quiescence() {
 /// from disk, live days from the snapshot — same answers either way, and
 /// sealed-range cache entries are immutable (hits survive any epoch).
 #[test]
-fn snapshot_paths_match_mutex_with_sealed_days() {
+fn snapshot_paths_match_reference_with_sealed_days() {
     let sim = sim();
-    let dir = fresh_dir("store");
+    let dir = ScratchDir::new("serving-diff-store");
     let config = MonitorConfig {
-        snapshot_dir: Some(dir.clone()),
+        snapshot_dir: Some(dir.to_path_buf()),
         ..base_config(&sim)
     };
     let handle = run_to_quiescence(&config, &sim);
@@ -150,8 +161,7 @@ fn snapshot_paths_match_mutex_with_sealed_days() {
         "a multi-day feed with a store must seal days"
     );
     assert!(view.seal_epoch() > 0);
-    assert_paths_agree(&handle);
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_paths_agree(&handle, &config, &sim);
 }
 
 /// Disabling the cache changes performance, never answers: the handle
@@ -164,7 +174,7 @@ fn cache_disabled_serves_identical_results() {
     let handle = run_to_quiescence(&config, &sim);
     let serve = handle.serve();
     assert!(!serve.cache_enabled());
-    assert_paths_agree(&handle);
+    assert_paths_agree(&handle, &config, &sim);
     let stats = serve.cache_stats();
     assert_eq!(
         (stats.hits, stats.misses, stats.stale, stats.entries),
@@ -182,19 +192,19 @@ fn coarse_cadence_still_converges_at_quiescence() {
     config.serving.publish_every_clusters = 1_000;
     config.serving.publish_every_windows = 500;
     let handle = run_to_quiescence(&config, &sim);
-    assert_paths_agree(&handle);
+    assert_paths_agree(&handle, &config, &sim);
 }
 
 /// A crash-recovered service publishes its restored state as the initial
 /// snapshot: the read view answers correctly before any new ingest.
 #[test]
-fn recovered_service_initial_view_matches_mutex() {
+fn recovered_service_initial_view_matches_reference() {
     let sim = sim();
     let network = Arc::new(sim.network().clone());
-    let wal_dir = fresh_dir("wal");
+    let wal_dir = ScratchDir::new("serving-diff-wal");
     let config = MonitorConfig {
         durability: DurabilityConfig {
-            wal_dir: Some(wal_dir.clone()),
+            wal_dir: Some(wal_dir.to_path_buf()),
             fsync: FsyncPolicy::Group,
             checkpoint_interval_records: 2_000,
             ..DurabilityConfig::default()
@@ -211,7 +221,6 @@ fn recovered_service_initial_view_matches_mutex() {
     let (service, report) = MonitorService::recover(&config, network).expect("recovery succeeds");
     assert!(report.replayed_entries > 0);
     let handle = service.handle();
-    assert_paths_agree(&handle);
+    assert_paths_agree(&handle, &config, &sim);
     drop(service);
-    let _ = std::fs::remove_dir_all(&wal_dir);
 }

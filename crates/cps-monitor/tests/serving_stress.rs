@@ -5,34 +5,24 @@
 //! vectors, the day buckets, and the macro fixpoint set.
 //!
 //! The invariants hold *within* any published snapshot because the merger
-//! mutates all containers under one lock before publishing pointer
-//! clones; a reader that ever observed a mix of two publications would
-//! trip one of them. Severity is integer seconds, so the conservation
+//! alone mutates the containers, between publications of pointer clones;
+//! a reader that ever observed a mix of two publications would trip one
+//! of them. Severity is integer seconds, so the conservation
 //! checks are exact, not tolerance-based.
 
-use cps_core::Severity;
+use cps_core::{ScratchDir, Severity};
+use cps_geo::UniformGrid;
 use cps_monitor::{
     DurabilityConfig, FsyncPolicy, MonitorConfig, MonitorHandle, MonitorService, OverflowPolicy,
     ReadView,
 };
 use cps_sim::{Scale, SimConfig, TrafficSim};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use cps_testkit::reference_guided;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const DAYS: u32 = 3;
 const READERS: usize = 4;
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "cps-serving-stress-{}-{tag}-{n}",
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).expect("create test temp dir");
-    dir
-}
 
 fn total(f: &[Severity]) -> Severity {
     f.iter().fold(Severity::ZERO, |acc, &s| acc + s)
@@ -44,8 +34,8 @@ fn check_view(view: &ReadView) -> (u64, u64) {
     let snap = view.snapshot();
 
     // Seal bookkeeping is torn-publication bait: the persisted set, the
-    // seal counter, and the day buckets all mutate together under the
-    // merger's lock, so any mix of two publications shows up here.
+    // seal counter, and the day buckets all mutate together between two
+    // publications, so any mix of two publications shows up here.
     assert_eq!(
         snap.seal_epoch,
         snap.persisted_days.len() as u64,
@@ -59,6 +49,18 @@ fn check_view(view: &ReadView) -> (u64, u64) {
         assert!(
             snap.region_f_by_day.contains_key(day),
             "sealed day {day} lost its F vector"
+        );
+        // A seal is published only after its store write, so a day the
+        // view reports sealed is already on disk.
+        let stored = view.micro_clusters_for_day(*day).expect("store read");
+        assert!(!stored.is_empty(), "sealed day {day} is not in the store");
+    }
+    // The F vectors' keys are exactly the days with admitted clusters;
+    // each is live or sealed, never neither.
+    for day in snap.region_f_by_day.keys() {
+        assert!(
+            snap.micros_by_day.contains_key(day) || snap.persisted_days.contains(day),
+            "day {day} has admitted clusters but is neither live nor sealed"
         );
     }
 
@@ -137,23 +139,24 @@ fn reader(handle: MonitorHandle, stop: Arc<AtomicBool>) -> u64 {
 /// Readers race ingest, day sealing (snapshot store on), group-commit WAL
 /// appends, and periodic checkpoints for the whole feed; every pinned
 /// snapshot must pass every invariant, and the final snapshot must agree
-/// with the mutex oracle.
+/// with the batch reference.
 #[test]
 fn concurrent_readers_see_only_consistent_snapshots() {
     let sim = TrafficSim::new(SimConfig::new(Scale::Tiny, 13).with_hot_region(0.2, 0.5));
     let network = Arc::new(sim.network().clone());
+    let n_sensors = network.num_sensors() as u32;
     let mut records: Vec<_> = (0..DAYS).flat_map(|d| sim.atypical_day(d)).collect();
     records.sort_unstable_by_key(|r| (r.window, r.sensor));
 
-    let snapshot_dir = fresh_dir("store");
-    let wal_dir = fresh_dir("wal");
+    let snapshot_dir = ScratchDir::new("serving-stress-store");
+    let wal_dir = ScratchDir::new("serving-stress-wal");
     let config = MonitorConfig {
         shards: 3,
         spec: sim.config().spec,
         overflow: OverflowPolicy::Block,
-        snapshot_dir: Some(snapshot_dir.clone()),
+        snapshot_dir: Some(snapshot_dir.to_path_buf()),
         durability: DurabilityConfig {
-            wal_dir: Some(wal_dir.clone()),
+            wal_dir: Some(wal_dir.to_path_buf()),
             fsync: FsyncPolicy::Group,
             checkpoint_interval_records: 1_000,
             ..DurabilityConfig::default()
@@ -161,6 +164,7 @@ fn concurrent_readers_see_only_consistent_snapshots() {
         ..MonitorConfig::default()
     };
 
+    let partition = UniformGrid::over(&network, config.red_cell_miles).partition(&network);
     let mut service = MonitorService::start(&config, network).expect("service starts");
     let handle = service.handle();
     let stop = Arc::new(AtomicBool::new(false));
@@ -190,13 +194,15 @@ fn concurrent_readers_see_only_consistent_snapshots() {
         !view.snapshot().persisted_days.is_empty(),
         "the store must have sealed days mid-run"
     );
-    assert_eq!(view.red_regions(0, DAYS), handle.red_regions(0, DAYS));
-    assert_eq!(
-        view.query_guided(0, DAYS).expect("query"),
-        handle.query_guided(0, DAYS).expect("query")
+    let (red, guided) = reference_guided(
+        &view,
+        &partition,
+        &config.params,
+        config.spec,
+        n_sensors,
+        0,
+        DAYS,
     );
-    assert_eq!(*view.live_macro_clusters(), handle.live_macro_clusters());
-
-    let _ = std::fs::remove_dir_all(&snapshot_dir);
-    let _ = std::fs::remove_dir_all(&wal_dir);
+    assert_eq!(view.red_regions(0, DAYS), red);
+    assert_eq!(view.query_guided(0, DAYS).expect("query"), guided);
 }

@@ -5,10 +5,11 @@
 
 use atypical::online::OnlineExtractor;
 use atypical::AtypicalCluster;
-use cps_core::{AtypicalRecord, Params, SensorId, Severity, TimeWindow, WindowSpec};
+use cps_core::{AtypicalRecord, Params, WindowSpec};
 use cps_geo::RoadNetwork;
 use cps_monitor::{MonitorConfig, MonitorService, OverflowPolicy};
 use cps_sim::{Scale, SimConfig, TrafficSim};
+use cps_testkit::canonicalize;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -63,31 +64,6 @@ fn shuffled_within_windows(records: &[AtypicalRecord], seed: u64) -> Vec<Atypica
     out
 }
 
-/// Order-free form of a cluster: sorted SF and TF entries. IDs are
-/// assignment-order artifacts and excluded on purpose.
-type Canonical = (Vec<(u32, Severity)>, Vec<(u32, Severity)>);
-
-fn canonicalize(clusters: &[AtypicalCluster]) -> Vec<Canonical> {
-    let mut out: Vec<Canonical> = clusters
-        .iter()
-        .map(|c| {
-            let mut sf: Vec<(u32, Severity)> =
-                c.sf.iter()
-                    .map(|(s, sev): (SensorId, Severity)| (s.raw(), sev))
-                    .collect();
-            let mut tf: Vec<(u32, Severity)> =
-                c.tf.iter()
-                    .map(|(w, sev): (TimeWindow, Severity)| (w.raw(), sev))
-                    .collect();
-            sf.sort_unstable();
-            tf.sort_unstable();
-            (sf, tf)
-        })
-        .collect();
-    out.sort();
-    out
-}
-
 fn single_extractor_clusters(feed: &[AtypicalRecord]) -> Vec<AtypicalCluster> {
     let fx = fixture();
     let mut extractor = OnlineExtractor::new(&fx.network, fx.params, fx.spec);
@@ -114,7 +90,7 @@ fn sharded_clusters(feed: &[AtypicalRecord], shards: usize) -> Vec<AtypicalClust
     let metrics = service.finish();
     assert_eq!(metrics.records_dropped, 0, "Block policy never drops");
     assert_eq!(metrics.records_ingested, feed.len() as u64);
-    handle.live_micro_clusters()
+    handle.read_view().live_micro_clusters()
 }
 
 proptest! {
@@ -155,5 +131,5 @@ fn fixture_exercises_cross_shard_reconciliation() {
         metrics.cross_shard_merges > 0,
         "no cross-shard merges: {metrics}"
     );
-    assert!(!handle.live_macro_clusters().is_empty());
+    assert!(!handle.read_view().live_macro_clusters().is_empty());
 }

@@ -5,8 +5,8 @@
 //! lock-free [`SnapshotCell`]; readers pin one snapshot as a [`ReadView`]
 //! with a single atomic load and answer the whole query surface
 //! (`red_regions`, `query_guided`, `live_macro_clusters`,
-//! `micro_clusters_for_day`, `significant_clusters`) without ever taking
-//! the merger's mutex. A sharded [`ResultCache`] keyed by
+//! `micro_clusters_for_day`, `significant_clusters`) without ever
+//! touching the merger's state. A sharded [`ResultCache`] keyed by
 //! `(kind, day-range)` sits in front, with epoch-based invalidation on
 //! day-seal and hit/miss/stale metrics.
 //!

@@ -109,7 +109,7 @@ impl GuidedQuery {
 }
 
 /// A pinned-epoch view over one [`LiveSnapshot`]: the monitor's whole
-/// query surface, answered without touching the merger's mutex. `Clone`
+/// query surface, answered without touching the merger's state. `Clone`
 /// is cheap (two `Arc`s) and every clone pins the same epoch.
 #[derive(Clone)]
 pub struct ReadView {

@@ -765,6 +765,7 @@ fn poisson(rng: &mut StdRng, lambda: f64) -> u32 {
 mod tests {
     use super::*;
     use crate::config::Scale;
+    use cps_core::ScratchDir;
 
     fn sim() -> TrafficSim {
         TrafficSim::new(SimConfig::new(Scale::Tiny, 42))
@@ -876,8 +877,7 @@ mod tests {
 
     #[test]
     fn write_store_roundtrip() {
-        let root = std::env::temp_dir().join(format!("cps-sim-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
+        let root = ScratchDir::new("sim-store");
         let config = SimConfig::new(Scale::Tiny, 7)
             .with_datasets(2)
             .with_days_per_dataset(3);
@@ -898,7 +898,6 @@ mod tests {
         // Context logs exist and parse.
         let ctx = ContextLog::load(&root, DatasetId::new(1)).unwrap();
         assert_eq!(ctx.weather.len(), 3);
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -118,6 +118,7 @@ mod tests {
     use super::*;
     use crate::format::RecordKind;
     use crate::writer::PartitionWriter;
+    use cps_core::ScratchDir;
     use cps_core::{SensorId, Severity, TimeWindow};
 
     fn write_partition(path: &Path, n: u32) {
@@ -133,16 +134,9 @@ mod tests {
         w.finish().unwrap();
     }
 
-    fn tmp(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("cps-cache-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
-
     #[test]
     fn second_load_hits_cache() {
-        let dir = tmp("hits");
+        let dir = ScratchDir::new("hits");
         let p = dir.join("a.cps");
         write_partition(&p, 100);
         let stats = IoStats::shared();
@@ -159,7 +153,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest_under_pressure() {
-        let dir = tmp("evict");
+        let dir = ScratchDir::new("evict");
         let paths: Vec<PathBuf> = (0..4)
             .map(|i| {
                 let p = dir.join(format!("{i}.cps"));
@@ -179,7 +173,7 @@ mod tests {
 
     #[test]
     fn clear_empties_cache() {
-        let dir = tmp("clear");
+        let dir = ScratchDir::new("clear");
         let p = dir.join("a.cps");
         write_partition(&p, 10);
         let cache = PartitionCache::new(1 << 20, IoStats::shared());
@@ -192,7 +186,7 @@ mod tests {
 
     #[test]
     fn concurrent_loads_are_safe() {
-        let dir = tmp("conc");
+        let dir = ScratchDir::new("conc");
         let p = dir.join("a.cps");
         write_partition(&p, 500);
         let cache = Arc::new(PartitionCache::new(1 << 20, IoStats::shared()));

@@ -145,18 +145,14 @@ impl IoBackend for RealIo {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("cps-io-test-{}", std::process::id()));
-        std::fs::create_dir_all(&d).unwrap();
-        d.join(name)
-    }
+    use cps_core::ScratchDir;
 
     #[test]
     fn real_backend_roundtrips() {
         let io = Io::default();
-        let path = tmp("round.bin");
-        let staged = tmp("round.tmp");
+        let dir = ScratchDir::new("io");
+        let path = dir.join("round.bin");
+        let staged = dir.join("round.tmp");
         {
             let mut w = io.create(&staged).unwrap();
             w.write_all(b"hello ").unwrap();
@@ -172,6 +168,7 @@ mod tests {
 
     #[test]
     fn missing_file_errors() {
-        assert!(Io::real().open(&tmp("nope.bin")).is_err());
+        let dir = ScratchDir::new("io");
+        assert!(Io::real().open(&dir.join("nope.bin")).is_err());
     }
 }

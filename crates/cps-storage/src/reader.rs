@@ -152,14 +152,9 @@ impl Iterator for RecordIter {
 mod tests {
     use super::*;
     use crate::writer::PartitionWriter;
+    use cps_core::ScratchDir;
     use cps_core::{SensorId, Severity, TimeWindow};
     use std::io::{Seek, SeekFrom, Write};
-
-    fn tmpfile(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("cps-reader-test-{}", std::process::id()));
-        std::fs::create_dir_all(&d).unwrap();
-        d.join(name)
-    }
 
     fn write_partition(path: &Path, n: usize) {
         let mut w = PartitionWriter::create(path, RecordKind::Atypical).unwrap();
@@ -176,7 +171,8 @@ mod tests {
 
     #[test]
     fn corrupted_block_is_detected() {
-        let path = tmpfile("corrupt.cps");
+        let dir = ScratchDir::new("reader");
+        let path = dir.join("corrupt.cps");
         write_partition(&path, 100);
         // Flip one payload byte after the header + block header.
         let mut f = std::fs::OpenOptions::new()
@@ -200,7 +196,8 @@ mod tests {
 
     #[test]
     fn truncated_file_stops_cleanly_after_last_full_block() {
-        let path = tmpfile("truncated.cps");
+        let dir = ScratchDir::new("reader");
+        let path = dir.join("truncated.cps");
         write_partition(&path, 100);
         let len = std::fs::metadata(&path).unwrap().len();
         let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
@@ -215,7 +212,8 @@ mod tests {
 
     #[test]
     fn iterator_stops_after_error() {
-        let path = tmpfile("stops.cps");
+        let dir = ScratchDir::new("reader");
+        let path = dir.join("stops.cps");
         write_partition(&path, 100);
         let mut f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         f.seek(SeekFrom::Start((HEADER_SIZE + BLOCK_HEADER_SIZE) as u64))
@@ -230,7 +228,8 @@ mod tests {
 
     #[test]
     fn open_missing_file_errors() {
-        let err = PartitionReader::open(&tmpfile("missing.cps"), IoStats::shared());
+        let dir = ScratchDir::new("reader");
+        let err = PartitionReader::open(&dir.join("missing.cps"), IoStats::shared());
         assert!(err.is_err());
     }
 }

@@ -265,6 +265,7 @@ impl IoRead for RetryRead {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cps_core::ScratchDir;
     use std::sync::atomic::AtomicU32;
 
     /// A backend that fails its first `fail_ops` gated operations with
@@ -378,12 +379,6 @@ mod tests {
         }
     }
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("cps-retry-test-{}", std::process::id()));
-        std::fs::create_dir_all(&d).unwrap();
-        d.join(name)
-    }
-
     fn fast(max_attempts: u32) -> RetryPolicy {
         RetryPolicy {
             max_attempts,
@@ -397,7 +392,8 @@ mod tests {
     fn transient_faults_under_budget_succeed_and_are_counted() {
         let (flaky, _) = Flaky::io(3, io::ErrorKind::Other);
         let (io, stats) = RetryIo::wrap(flaky, fast(8));
-        let path = tmp("under-budget.bin");
+        let dir = ScratchDir::new("retry");
+        let path = dir.join("under-budget.bin");
         let mut w = io.create(&path).unwrap();
         w.write_all(b"payload").unwrap();
         w.sync().unwrap();
@@ -411,7 +407,8 @@ mod tests {
     fn budget_exhaustion_propagates_the_error() {
         let (flaky, remaining) = Flaky::io(10, io::ErrorKind::Other);
         let (io, stats) = RetryIo::wrap(flaky, fast(3));
-        let err = io.create(&tmp("exhausted.bin")).err().expect("fails");
+        let dir = ScratchDir::new("retry");
+        let err = io.create(&dir.join("exhausted.bin")).err().expect("fails");
         assert!(is_transient(&err));
         assert_eq!(stats.io_retries.load(Ordering::SeqCst), 2);
         assert_eq!(stats.retries_exhausted.load(Ordering::SeqCst), 1);
@@ -423,7 +420,8 @@ mod tests {
     fn permanent_errors_are_not_retried() {
         let (flaky, remaining) = Flaky::io(5, io::ErrorKind::PermissionDenied);
         let (io, stats) = RetryIo::wrap(flaky, fast(8));
-        let err = io.create(&tmp("permanent.bin")).err().expect("fails");
+        let dir = ScratchDir::new("retry");
+        let err = io.create(&dir.join("permanent.bin")).err().expect("fails");
         assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
         assert_eq!(stats.io_retries.load(Ordering::SeqCst), 0);
         assert_eq!(stats.retries_exhausted.load(Ordering::SeqCst), 0);
@@ -433,7 +431,8 @@ mod tests {
     #[test]
     fn missing_file_on_retried_remove_is_success() {
         let (io, stats) = RetryIo::wrap(Io::real(), fast(4));
-        assert!(io.remove_file(&tmp("never-existed.bin")).is_ok());
+        let dir = ScratchDir::new("retry");
+        assert!(io.remove_file(&dir.join("never-existed.bin")).is_ok());
         assert_eq!(stats.io_retries.load(Ordering::SeqCst), 0);
     }
 
@@ -441,7 +440,8 @@ mod tests {
     fn disabled_policy_is_transparent() {
         let (flaky, _) = Flaky::io(1, io::ErrorKind::Other);
         let (io, stats) = RetryIo::wrap(flaky, RetryPolicy::disabled());
-        assert!(io.create(&tmp("disabled.bin")).is_err());
+        let dir = ScratchDir::new("retry");
+        assert!(io.create(&dir.join("disabled.bin")).is_err());
         assert_eq!(stats.io_retries.load(Ordering::SeqCst), 0);
         assert_eq!(stats.retries_exhausted.load(Ordering::SeqCst), 0);
     }

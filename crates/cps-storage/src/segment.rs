@@ -842,14 +842,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cps_core::ScratchDir;
     use cps_core::TimeWindow;
-
-    fn tmp(tag: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("cps-segment-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
 
     fn zone(sensors: (u32, u32), windows: (u32, u32), sev: u64, n: u32) -> ZoneMap {
         ZoneMap {
@@ -1005,7 +999,8 @@ mod tests {
 
     #[test]
     fn sensor_lists_roundtrip_through_the_file_and_prune_exactly() {
-        let path = tmp("exact-list").join("seg.acs");
+        let dir = ScratchDir::new("exact-list");
+        let path = dir.join("seg.acs");
         let mut w = SegmentWriter::new();
         for ids in [&[10u32, 40, 70][..], &[20, 50, 80], &[30, 60, 90]] {
             let mut z = ZoneMap {
@@ -1056,7 +1051,8 @@ mod tests {
 
     #[test]
     fn full_scan_roundtrips_every_chunk_in_order() {
-        let path = tmp("roundtrip").join("seg.acs");
+        let dir = ScratchDir::new("roundtrip");
+        let path = dir.join("seg.acs");
         let payloads = write_three_chunk_segment(&path);
         let mut seen = Vec::new();
         let scan = scan_segment(
@@ -1087,7 +1083,8 @@ mod tests {
 
     #[test]
     fn pushdown_skips_chunks_and_stops_before_the_tail() {
-        let path = tmp("pushdown").join("seg.acs");
+        let dir = ScratchDir::new("pushdown");
+        let path = dir.join("seg.acs");
         write_three_chunk_segment(&path);
         let stats = IoStats::shared();
         // Only the middle chunk's sensors match.
@@ -1117,7 +1114,8 @@ mod tests {
 
     #[test]
     fn hopeless_predicate_skips_the_whole_segment() {
-        let path = tmp("skip-all").join("seg.acs");
+        let dir = ScratchDir::new("skip-all");
+        let path = dir.join("seg.acs");
         write_three_chunk_segment(&path);
         let stats = IoStats::shared();
         let pred = Predicate::all().with_severity_above(Severity::from_secs(10_000));
@@ -1134,7 +1132,8 @@ mod tests {
 
     #[test]
     fn skipped_chunk_corruption_is_invisible_but_decoded_chunks_are_verified() {
-        let path = tmp("skip-corrupt").join("seg.acs");
+        let dir = ScratchDir::new("skip-corrupt");
+        let path = dir.join("seg.acs");
         write_three_chunk_segment(&path);
         let mut raw = std::fs::read(&path).unwrap();
         // Corrupt the first chunk's payload (right after header + meta).
@@ -1166,7 +1165,7 @@ mod tests {
 
     #[test]
     fn every_byte_flip_of_a_fully_scanned_segment_is_detected() {
-        let dir = tmp("flip");
+        let dir = ScratchDir::new("flip");
         let clean_path = dir.join("seg.acs");
         write_three_chunk_segment(&clean_path);
         let clean = std::fs::read(&clean_path).unwrap();
@@ -1192,7 +1191,7 @@ mod tests {
 
     #[test]
     fn truncation_at_every_byte_is_detected() {
-        let dir = tmp("trunc");
+        let dir = ScratchDir::new("trunc");
         let clean_path = dir.join("seg.acs");
         write_three_chunk_segment(&clean_path);
         let clean = std::fs::read(&clean_path).unwrap();
@@ -1216,7 +1215,8 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_detected() {
-        let path = tmp("trailing").join("seg.acs");
+        let dir = ScratchDir::new("trailing");
+        let path = dir.join("seg.acs");
         write_three_chunk_segment(&path);
         let mut raw = std::fs::read(&path).unwrap();
         raw.push(0);
@@ -1235,7 +1235,8 @@ mod tests {
 
     #[test]
     fn future_version_is_a_typed_version_mismatch() {
-        let path = tmp("version").join("seg.acs");
+        let dir = ScratchDir::new("version");
+        let path = dir.join("seg.acs");
         write_three_chunk_segment(&path);
         let mut raw = std::fs::read(&path).unwrap();
         raw[4] = 2; // version u32 LE low byte
@@ -1252,7 +1253,8 @@ mod tests {
 
     #[test]
     fn wrong_kind_is_rejected() {
-        let path = tmp("kind").join("seg.acs");
+        let dir = ScratchDir::new("kind");
+        let path = dir.join("seg.acs");
         write_three_chunk_segment(&path);
         let err = read_segment_meta(&Io::real(), &path, 8, None).unwrap_err();
         assert!(matches!(err, CpsError::Corrupt { .. }));
@@ -1260,7 +1262,8 @@ mod tests {
 
     #[test]
     fn empty_segment_roundtrips() {
-        let path = tmp("empty").join("seg.acs");
+        let dir = ScratchDir::new("empty");
+        let path = dir.join("seg.acs");
         SegmentWriter::new().commit(&Io::real(), &path, 7).unwrap();
         let scan = scan_segment(&Io::real(), &path, 7, &Predicate::all(), None, |_, _| {
             panic!("no chunks")
@@ -1275,7 +1278,8 @@ mod tests {
 
     #[test]
     fn segment_meta_rolls_up_chunk_zones() {
-        let path = tmp("rollup").join("seg.acs");
+        let dir = ScratchDir::new("rollup");
+        let path = dir.join("seg.acs");
         write_three_chunk_segment(&path);
         let meta = read_segment_meta(&Io::real(), &path, 7, None).unwrap();
         let z = meta.zone();

@@ -340,13 +340,8 @@ impl Iterator for ChainedScan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cps_core::ScratchDir;
     use cps_core::{SensorId, Severity, TimeWindow};
-
-    fn tmp_root(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("cps-store-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        d
-    }
 
     fn fill(store: &mut DatasetStore, id: DatasetId, first_day: u32, n_days: u32) {
         let mut raw_total = 0;
@@ -390,7 +385,7 @@ mod tests {
 
     #[test]
     fn create_fill_reopen_scan() {
-        let root = tmp_root("roundtrip");
+        let root = ScratchDir::new("roundtrip");
         let mut store = DatasetStore::create(&root, WindowSpec::PEMS).unwrap();
         fill(&mut store, DatasetId::new(1), 0, 3);
         fill(&mut store, DatasetId::new(2), 3, 2);
@@ -420,7 +415,7 @@ mod tests {
 
     #[test]
     fn day_range_spans_datasets() {
-        let root = tmp_root("spans");
+        let root = ScratchDir::new("spans");
         let mut store = DatasetStore::create(&root, WindowSpec::PEMS).unwrap();
         fill(&mut store, DatasetId::new(1), 0, 3);
         fill(&mut store, DatasetId::new(2), 3, 3);
@@ -436,7 +431,7 @@ mod tests {
 
     #[test]
     fn day_range_scan_streams_across_datasets() {
-        let root = tmp_root("dayscan");
+        let root = ScratchDir::new("dayscan");
         let mut store = DatasetStore::create(&root, WindowSpec::PEMS).unwrap();
         fill(&mut store, DatasetId::new(1), 0, 3);
         fill(&mut store, DatasetId::new(2), 3, 3);
@@ -463,7 +458,7 @@ mod tests {
 
     #[test]
     fn atypical_fraction_reported() {
-        let root = tmp_root("fraction");
+        let root = ScratchDir::new("fraction");
         let mut store = DatasetStore::create(&root, WindowSpec::PEMS).unwrap();
         fill(&mut store, DatasetId::new(1), 0, 1);
         let meta = store.dataset(DatasetId::new(1)).unwrap();
@@ -472,7 +467,7 @@ mod tests {
 
     #[test]
     fn missing_dataset_is_not_found() {
-        let root = tmp_root("missing");
+        let root = ScratchDir::new("missing");
         let store = DatasetStore::create(&root, WindowSpec::PEMS).unwrap();
         assert!(matches!(
             store.dataset(DatasetId::new(9)),
@@ -482,7 +477,7 @@ mod tests {
 
     #[test]
     fn corrupt_catalog_is_reported() {
-        let root = tmp_root("badcat");
+        let root = ScratchDir::new("badcat");
         DatasetStore::create(&root, WindowSpec::PEMS).unwrap();
         std::fs::write(root.join("catalog.json"), "{not json").unwrap();
         assert!(matches!(

@@ -317,12 +317,7 @@ pub fn truncate_segments_below(io: &Io, dir: &Path, floor: u64) -> Result<usize>
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("cps-wal-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        d
-    }
+    use cps_core::ScratchDir;
 
     fn payloads(n: usize) -> Vec<Vec<u8>> {
         (0..n)
@@ -332,7 +327,7 @@ mod tests {
 
     #[test]
     fn roundtrip_single_segment() {
-        let dir = tmp("round");
+        let dir = ScratchDir::new("round");
         let io = Io::real();
         let entries = payloads(10);
         let mut w = WalWriter::open(io.clone(), &dir, SyncPolicy::Always, 1 << 20).unwrap();
@@ -345,12 +340,11 @@ mod tests {
         assert_eq!(segs[0].seq, 1);
         assert!(!segs[0].torn);
         assert_eq!(segs[0].entries, entries);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn rotation_by_size_and_reopen_starts_fresh_segment() {
-        let dir = tmp("rotate");
+        let dir = ScratchDir::new("rotate");
         let io = Io::real();
         let mut w = WalWriter::open(io.clone(), &dir, SyncPolicy::Never, 32).unwrap();
         for p in payloads(12) {
@@ -369,12 +363,11 @@ mod tests {
             .flat_map(|s| s.entries)
             .collect();
         assert_eq!(all, payloads(12));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn explicit_rotation_and_truncation() {
-        let dir = tmp("truncate");
+        let dir = ScratchDir::new("truncate");
         let io = Io::real();
         let mut w = WalWriter::open(io.clone(), &dir, SyncPolicy::EveryN(4), 1 << 20).unwrap();
         w.append(b"old").unwrap();
@@ -385,7 +378,6 @@ mod tests {
         let segs = read_wal(&io, &dir).unwrap();
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].entries, vec![b"new".to_vec()]);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The WAL-format fuzz contract: truncating the (single-segment) log
@@ -393,7 +385,7 @@ mod tests {
     /// entries — never an error, never a wrong or partial entry.
     #[test]
     fn truncation_at_every_byte_is_a_clean_prefix() {
-        let dir = tmp("fuzz");
+        let dir = ScratchDir::new("fuzz");
         let io = Io::real();
         let entries = payloads(6);
         let mut w = WalWriter::open(io.clone(), &dir, SyncPolicy::Always, 1 << 20).unwrap();
@@ -423,12 +415,11 @@ mod tests {
             let at_boundary = frame_ends.contains(&(len as u64));
             assert_eq!(segs[0].torn, !at_boundary, "truncation at byte {len}");
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corruption_in_old_segment_is_typed() {
-        let dir = tmp("oldcorrupt");
+        let dir = ScratchDir::new("oldcorrupt");
         let io = Io::real();
         let mut w = WalWriter::open(io.clone(), &dir, SyncPolicy::Always, 1 << 20).unwrap();
         w.append(b"aaaa").unwrap();
@@ -445,12 +436,11 @@ mod tests {
             Err(CpsError::Corrupt { .. }) => {}
             other => panic!("expected Corrupt, got {other:?}"),
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn segment_gap_is_typed_corruption() {
-        let dir = tmp("gap");
+        let dir = ScratchDir::new("gap");
         let io = Io::real();
         let mut w = WalWriter::open(io.clone(), &dir, SyncPolicy::Always, 1 << 20).unwrap();
         w.append(b"a").unwrap();
@@ -464,12 +454,11 @@ mod tests {
             Err(CpsError::Corrupt { .. }) => {}
             other => panic!("expected Corrupt, got {other:?}"),
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn repair_tail_rewrites_a_torn_final_segment() {
-        let dir = tmp("repair");
+        let dir = ScratchDir::new("repair");
         let io = Io::real();
         let mut w = WalWriter::open(io.clone(), &dir, SyncPolicy::Always, 1 << 20).unwrap();
         w.append(b"keep-me").unwrap();
@@ -485,15 +474,14 @@ mod tests {
         assert_eq!(segs[0].entries, vec![b"keep-me".to_vec()]);
         // Idempotent on a clean log.
         repair_tail(&io, &dir).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn empty_or_missing_dir_reads_empty() {
-        let dir = tmp("empty");
+        let root = ScratchDir::new("empty");
+        let dir = root.join("wal");
         assert!(read_wal(&Io::real(), &dir).unwrap().is_empty());
         std::fs::create_dir_all(&dir).unwrap();
         assert!(read_wal(&Io::real(), &dir).unwrap().is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

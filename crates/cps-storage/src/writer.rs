@@ -115,21 +115,13 @@ mod tests {
     use super::*;
     use crate::reader::PartitionReader;
     use crate::IoStats;
+    use cps_core::ScratchDir;
     use cps_core::{SensorId, Severity, TimeWindow};
-
-    fn tmpdir() -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "cps-storage-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
 
     #[test]
     fn write_read_roundtrip_across_blocks() {
-        let path = tmpdir().join("atyp.cps");
+        let dir = ScratchDir::new("writer");
+        let path = dir.join("atyp.cps");
         let n = RECORDS_PER_BLOCK * 2 + 100; // two full blocks + a partial one
         let mut w = PartitionWriter::create(&path, RecordKind::Atypical).unwrap();
         for i in 0..n {
@@ -156,7 +148,8 @@ mod tests {
 
     #[test]
     fn empty_partition_is_valid() {
-        let path = tmpdir().join("empty.cps");
+        let dir = ScratchDir::new("writer");
+        let path = dir.join("empty.cps");
         let w = PartitionWriter::create(&path, RecordKind::Raw).unwrap();
         assert_eq!(w.finish().unwrap(), 0);
         let reader = PartitionReader::open(&path, IoStats::shared()).unwrap();
@@ -200,7 +193,8 @@ mod tests {
             fn prop_atypical_partition_roundtrip(
                 records in prop::collection::vec(arb_atypical(), 0..600),
             ) {
-                let path = tmpdir().join(format!("prop-a-{}.cps", records.len()));
+                let dir = ScratchDir::new("writer");
+                let path = dir.join(format!("prop-a-{}.cps", records.len()));
                 let mut w = PartitionWriter::create(&path, RecordKind::Atypical).unwrap();
                 for r in &records {
                     w.write_atypical(r).unwrap();
@@ -218,7 +212,8 @@ mod tests {
             fn prop_raw_partition_roundtrip(
                 records in prop::collection::vec(arb_raw(), 0..600),
             ) {
-                let path = tmpdir().join(format!("prop-r-{}.cps", records.len()));
+                let dir = ScratchDir::new("writer");
+                let path = dir.join(format!("prop-r-{}.cps", records.len()));
                 let mut w = PartitionWriter::create(&path, RecordKind::Raw).unwrap();
                 for r in &records {
                     w.write_raw(r).unwrap();
@@ -236,7 +231,8 @@ mod tests {
                 n in 1usize..200,
                 flip in 0usize..100_000,
             ) {
-                let path = tmpdir().join(format!("prop-c-{n}-{flip}.cps"));
+                let dir = ScratchDir::new("writer");
+                let path = dir.join(format!("prop-c-{n}-{flip}.cps"));
                 let mut w = PartitionWriter::create(&path, RecordKind::Atypical).unwrap();
                 for i in 0..n {
                     w.write_atypical(&AtypicalRecord::new(
@@ -263,7 +259,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "raw record in atypical file")]
     fn kind_mismatch_panics() {
-        let path = tmpdir().join("mismatch.cps");
+        let dir = ScratchDir::new("writer");
+        let path = dir.join("mismatch.cps");
         let mut w = PartitionWriter::create(&path, RecordKind::Atypical).unwrap();
         let _ = w.write_raw(&RawRecord::new(
             SensorId::new(0),

@@ -497,12 +497,14 @@ pub fn run_chaos(scenario: &ChaosScenario, case: &ConformanceCase, dir: &Path) -
     }
     let final_epoch = handle.serve().epoch();
 
+    let view = handle.read_view();
     let mut service_micros = Vec::new();
     for day in 0..scenario.days {
         service_micros.extend(
-            handle
-                .micro_clusters_for_day(day)
-                .unwrap_or_else(|e| panic!("{}: day {day} query failed: {e}", scenario.label)),
+            view.micro_clusters_for_day(day)
+                .unwrap_or_else(|e| panic!("{}: day {day} query failed: {e}", scenario.label))
+                .iter()
+                .cloned(),
         );
     }
     let mut twin = OnlineExtractor::new(&network, Params::paper_defaults(), spec);

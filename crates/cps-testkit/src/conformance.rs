@@ -25,11 +25,12 @@
 //! * [`check_parallel_bit_identity`] — forest snapshots and cube
 //!   cuboids are bit-identical at every [`thread_matrix`] setting
 //!   (pin with `CPS_PAR_THREADS=1,4` as `scripts/ci.sh` does);
-//! * [`check_batched_ingest`] — `ingest_batch` is bit-identical to the
-//!   record-at-a-time oracle on one shard and canonically equal on four;
+//! * [`check_batched_ingest`] — however the feed is cut into
+//!   `ingest_batch` calls, the micro-clusters are one in-order
+//!   extractor's, and on one shard the whole state is bit-identical;
 //! * [`check_serve_paths`] — at quiescence the pinned read view and the
 //!   cached serve handle answer every whole-day query exactly like the
-//!   mutex-path oracle;
+//!   batch recomputation of [`reference_guided`];
 //! * [`check_storage_backend_equivalence`] — the storage-backend axis:
 //!   persisting the domain's forest through the row and the columnar
 //!   [`ForestStore`](atypical::store::ForestStore) backends yields
@@ -43,8 +44,10 @@
 
 use crate::canonical::canonicalize;
 use crate::fixtures::{cluster_from_records, temp_dir};
+use crate::reference::reference_guided;
 use atypical::eval::evaluate;
 use atypical::integrate::{integrate_aligned, TimeAlignment};
+use atypical::online::OnlineExtractor;
 use atypical::pipeline::build_forest_from_records;
 use atypical::{AtypicalCluster, Query, QueryEngine, Strategy};
 use cps_core::ids::ClusterIdGen;
@@ -418,20 +421,32 @@ fn fingerprint(service: MonitorService, days: u32) -> Fingerprint {
     service.finish();
     let forest = handle.forest_snapshot(0, days).expect("forest snapshot");
     let day_leaves = (0..days).map(|d| forest.day(d).to_vec()).collect();
+    let view = handle.read_view();
     (
-        handle.live_micro_clusters(),
-        handle.live_macro_clusters(),
+        view.live_micro_clusters(),
+        view.live_macro_clusters().to_vec(),
         day_leaves,
     )
 }
 
-/// Batched-ingest differential: feeding the domain through
-/// [`MonitorService::ingest_batch`] is bit-identical to the
-/// record-at-a-time oracle on one shard and canonically equal on four.
+/// Batched-ingest differential: however the domain's feed is cut into
+/// [`MonitorService::ingest_batch`] calls, the micro-clusters equal those
+/// of one in-order [`OnlineExtractor`] (canonically, on one shard and on
+/// four), and on one shard the whole fingerprint — ids, finalization
+/// order, macro fixpoint, forest leaves — is the same at every batch
+/// size, one record per call included.
 pub fn check_batched_ingest(case: &ConformanceCase) {
     let network = case.network_arc();
     let feed = case.feed();
 
+    let reference = {
+        let config = case.monitor_config(1, 0);
+        let mut extractor = OnlineExtractor::new(&network, config.params, config.spec);
+        for &record in &feed {
+            extractor.push(record).expect("window-monotone feed");
+        }
+        canonicalize(&extractor.finish())
+    };
     let oracle_run = |shards: usize| -> Fingerprint {
         let config = case.monitor_config(shards, 0);
         let mut service = MonitorService::start(&config, network.clone()).expect("service starts");
@@ -453,30 +468,39 @@ pub fn check_batched_ingest(case: &ConformanceCase) {
     };
 
     let oracle = oracle_run(1);
+    assert_eq!(
+        canonicalize(&oracle.0),
+        reference,
+        "{}: one record per call diverged from the single extractor",
+        case.domain
+    );
     for batch_size in [1, 64] {
         assert_eq!(
             batched_run(1, batch_size),
             oracle,
-            "{} × batch {batch_size}: diverged from record-at-a-time oracle",
+            "{} × batch {batch_size}: diverged from one record per call",
             case.domain
         );
     }
-    let oracle4 = canonicalize(&oracle_run(4).0);
-    assert_eq!(
-        canonicalize(&batched_run(4, 64).0),
-        oracle4,
-        "{}: four-shard micro-cluster multiset diverged",
-        case.domain
-    );
+    for run in [oracle_run(4), batched_run(4, 64)] {
+        assert_eq!(
+            canonicalize(&run.0),
+            reference,
+            "{}: four-shard micro-cluster multiset diverged from the single extractor",
+            case.domain
+        );
+    }
 }
 
 /// Quiescent serve-path differential: after `finish`, every whole-day
 /// query through the pinned read view and the cached serve handle (two
-/// rounds, so the second answer is cache-served) matches the mutex-path
-/// oracle bit for bit.
+/// rounds, so the second answer is cache-served) matches the batch
+/// recomputation of [`reference_guided`] bit for bit.
 pub fn check_serve_paths(case: &ConformanceCase) {
     let network = case.network_arc();
     let config = case.monitor_config(3, 0);
+    let partition = UniformGrid::over(&network, config.red_cell_miles).partition(&network);
+    let n_sensors = network.num_sensors() as u32;
     let mut service = MonitorService::start(&config, network).expect("service starts");
     let handle: MonitorHandle = service.handle();
     for record in case.feed() {
@@ -493,9 +517,17 @@ pub fn check_serve_paths(case: &ConformanceCase) {
     let view = handle.read_view();
     for first in 0..case.days {
         for n in 1..=(case.days - first) {
-            let red = handle.red_regions(first, n);
-            let guided = handle.query_guided(first, n).expect("mutex query");
-            let significant = handle.significant_clusters(first, n).expect("mutex query");
+            let (red, guided) = reference_guided(
+                &view,
+                &partition,
+                &config.params,
+                config.spec,
+                n_sensors,
+                first,
+                n,
+            );
+            let significant: Vec<AtypicalCluster> =
+                guided.significant().into_iter().cloned().collect();
             assert_eq!(
                 view.red_regions(first, n),
                 red,
@@ -537,23 +569,19 @@ pub fn check_serve_paths(case: &ConformanceCase) {
         }
     }
     for day in 0..case.days {
-        let micros = handle.micro_clusters_for_day(day).expect("mutex query");
         assert_eq!(
-            *view.micro_clusters_for_day(day).expect("view query"),
-            micros,
-            "{}: micro_clusters_for_day({day})",
-            case.domain
-        );
-        assert_eq!(
-            *serve.micro_clusters_for_day(day).expect("cached query"),
-            micros,
+            serve.micro_clusters_for_day(day).expect("cached query"),
+            view.micro_clusters_for_day(day).expect("view query"),
             "{}: cached micro_clusters_for_day({day})",
             case.domain
         );
     }
-    let macros = handle.live_macro_clusters();
-    assert_eq!(*view.live_macro_clusters(), macros, "{}", case.domain);
-    assert_eq!(*serve.live_macro_clusters(), macros, "{}", case.domain);
+    assert_eq!(
+        serve.live_macro_clusters(),
+        view.live_macro_clusters(),
+        "{}",
+        case.domain
+    );
 }
 
 /// Storage-backend axis: the domain's forest, persisted through the row
@@ -654,7 +682,6 @@ pub fn check_storage_backend_equivalence(case: &ConformanceCase) {
         );
 
         per_backend.push(results);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     // Byte-identical across backends — macro ids included, since both

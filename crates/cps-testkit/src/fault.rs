@@ -533,13 +533,7 @@ impl CrashPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("cps-faultio-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
+    use cps_core::ScratchDir;
 
     /// The canonical workload: create, two writes, sync, rename.
     fn workload(io: &Io, dir: &Path) -> io::Result<()> {
@@ -555,7 +549,7 @@ mod tests {
 
     #[test]
     fn clean_run_logs_every_op() {
-        let dir = tmp("log");
+        let dir = ScratchDir::new("log");
         let fault = FaultIo::new();
         workload(&fault.io(), &dir).unwrap();
         let ops: Vec<OpKind> = fault.ops().into_iter().map(|o| o.op).collect();
@@ -570,7 +564,7 @@ mod tests {
 
     #[test]
     fn crash_fails_the_op_and_everything_after() {
-        let dir = tmp("crash");
+        let dir = ScratchDir::new("crash");
         let fault = FaultIo::with_plan(FaultPlan {
             at_op: 2,
             kind: FaultKind::Crash,
@@ -588,7 +582,7 @@ mod tests {
 
     #[test]
     fn torn_write_keeps_a_prefix() {
-        let dir = tmp("torn");
+        let dir = ScratchDir::new("torn");
         let fault = FaultIo::with_plan(FaultPlan {
             at_op: 2,
             kind: FaultKind::Torn { keep: 1 },
@@ -601,7 +595,7 @@ mod tests {
 
     #[test]
     fn transient_error_does_not_crash_the_backend() {
-        let dir = tmp("eio");
+        let dir = ScratchDir::new("eio");
         let fault = FaultIo::with_plan(FaultPlan {
             at_op: 1,
             kind: FaultKind::Error,
@@ -616,7 +610,7 @@ mod tests {
 
     #[test]
     fn plan_queue_fires_each_fault_once_at_its_own_op() {
-        let dir = tmp("queue");
+        let dir = ScratchDir::new("queue");
         let fault = FaultIo::new();
         fault.set_plans(vec![
             FaultPlan {
@@ -648,7 +642,7 @@ mod tests {
 
     #[test]
     fn lying_sync_loses_the_tail_across_rename() {
-        let dir = tmp("lying");
+        let dir = ScratchDir::new("lying");
         let fault = FaultIo::new();
         fault.set_mode(DurabilityMode::CappedSync { cap: 6 });
         workload(&fault.io(), &dir).unwrap();
@@ -661,7 +655,7 @@ mod tests {
 
     #[test]
     fn latency_delays_but_succeeds() {
-        let dir = tmp("latency");
+        let dir = ScratchDir::new("latency");
         let fault = FaultIo::with_plan(FaultPlan {
             at_op: 1,
             kind: FaultKind::Latency { millis: 30 },

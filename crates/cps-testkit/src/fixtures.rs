@@ -2,11 +2,10 @@
 //! temp directories.
 
 use atypical::{AtypicalCluster, AtypicalEvent};
-use cps_core::{AtypicalRecord, ClusterId, SensorId, Severity, TimeWindow};
+use cps_core::{AtypicalRecord, ClusterId, ScratchDir, SensorId, Severity, TimeWindow};
 use cps_sim::{Scale, SimConfig, TrafficSim};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
 
 /// One simulated Tiny-scale day: the deployment plus its atypical
 /// records sorted by `(window, sensor)` — the feed order every online
@@ -19,13 +18,10 @@ pub fn tiny_day(seed: u64) -> (TrafficSim, Vec<AtypicalRecord>) {
     (sim, records)
 }
 
-/// A fresh (removed-then-created) temp directory unique to this process
-/// and `tag`.
-pub fn temp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("cps-testkit-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).expect("create temp dir");
-    d
+/// A fresh, empty scratch directory for `tag`: unique per call, removed
+/// when the returned guard drops.
+pub fn temp_dir(tag: &str) -> ScratchDir {
+    ScratchDir::new(tag)
 }
 
 /// Builds a valid micro-cluster from a record set: records are sorted and

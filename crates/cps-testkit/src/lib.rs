@@ -17,7 +17,9 @@
 //! * [`seed`] — seeded-run harness: every randomized fault test prints
 //!   `CPS_FAULT_SEED=<seed>` on failure and is reproducible from it,
 //! * [`canonical`] — order-free cluster-set form for equivalence checks,
-//! * [`fixtures`] — shared simulated deployments and temp directories.
+//! * [`fixtures`] — shared simulated deployments and temp directories,
+//! * [`reference`] — the batch recomputation every guided read-path
+//!   answer is compared against.
 //!
 //! The injection seams live in the production crates (`cps-storage::Io`,
 //! `cps_monitor::FaultConfig`); this crate only drives them, so the
@@ -41,6 +43,7 @@ pub mod chaos;
 pub mod conformance;
 pub mod fault;
 pub mod fixtures;
+pub mod reference;
 pub mod seed;
 
 pub use canonical::{canonicalize, Canonical};
@@ -52,4 +55,5 @@ pub use conformance::{registry, ConformanceCase};
 pub use fault::{
     CrashCase, CrashPlan, DurabilityMode, FaultIo, FaultKind, FaultPlan, OpKind, OpRecord,
 };
+pub use reference::reference_guided;
 pub use seed::{run_seeded, seed_for};

@@ -62,7 +62,6 @@ fn composed_chaos_matrix() {
                     "{}: junk must exercise every quarantine path",
                     report.label
                 );
-                let _ = std::fs::remove_dir_all(&dir);
             }
         }
     });
@@ -81,7 +80,6 @@ fn composed_chaos_every_domain() {
                 case.domain,
                 report.label
             );
-            let _ = std::fs::remove_dir_all(&dir);
         }
     });
 }
@@ -107,7 +105,6 @@ fn lossless_chaos_equals_fault_free_twin() {
                      (quarantined records must never reach the analytics)",
                     report.label
                 );
-                let _ = std::fs::remove_dir_all(&dir);
             }
         }
     });
@@ -131,7 +128,6 @@ fn shed_storm_sheds_and_conserves() {
             "{}: every offered record is either ingested or counted shed",
             report.label
         );
-        let _ = std::fs::remove_dir_all(&dir);
     });
 }
 
@@ -224,9 +220,6 @@ fn failed_checkpoint_is_counted_and_rescheduled() {
             faulted.records_ingested, clean.records_ingested,
             "a checkpoint failure must not cost a single record"
         );
-
-        let _ = std::fs::remove_dir_all(&clean_dir);
-        let _ = std::fs::remove_dir_all(&fail_dir);
     });
 }
 
@@ -305,7 +298,5 @@ fn deadline_overrun_is_bounded_by_one_storage_read() {
         let (degraded, overruns) = serve.degrade_stats();
         assert!(degraded >= 2, "zero-budget and slow-disk queries degraded");
         assert!(overruns >= 1, "the slow-disk query overran its budget");
-
-        let _ = std::fs::remove_dir_all(&dir);
     });
 }

@@ -146,7 +146,7 @@ fn conservation_holds_under_random_junk_and_admission() {
                     twin.push(r).expect("admitted feed is window-monotone");
                 }
                 assert_eq!(
-                    canonicalize(&handle.live_micro_clusters()),
+                    canonicalize(&handle.read_view().live_micro_clusters()),
                     canonicalize(&twin.finish()),
                     "{tag}: a quarantined record leaked into the clustering"
                 );

@@ -101,7 +101,6 @@ fn crash_at_every_op_recovers_a_clean_prefix() {
                 .simulate_crash()
                 .expect("materialize crash state");
             check_recovery(&root, &clean, &format!("{} {}", backend.name(), case.label));
-            let _ = std::fs::remove_dir_all(&root);
         }
     }
 }
@@ -134,7 +133,6 @@ fn torn_write_at_every_byte_recovers_a_clean_prefix() {
                 .simulate_crash()
                 .expect("materialize crash state");
             check_recovery(&root, &clean, &format!("{} {}", backend.name(), case.label));
-            let _ = std::fs::remove_dir_all(&root);
             cases += 1;
         }
         assert_eq!(
@@ -205,7 +203,6 @@ fn lying_fsync_at_every_durable_length_is_detected() {
                 ),
                 Err(other) => panic!("{}: cap {cap}: untyped failure {other:?}", backend.name()),
             }
-            let _ = std::fs::remove_dir_all(&root);
         }
     }
 }

@@ -84,8 +84,8 @@ fn worker_death_degrades_instead_of_aborting() {
     assert_eq!(metrics.records_ingested, accepted);
     assert_eq!(metrics.records_dropped, 0);
     // The handle outlives the degraded service and still answers queries.
-    let _ = handle.live_micro_clusters();
-    let _ = handle.red_regions(0, 1);
+    let _ = handle.read_view().live_micro_clusters();
+    let _ = handle.read_view().red_regions(0, 1);
 }
 
 /// A drop burst is exactly accounted: the drop counter equals the burst
@@ -141,7 +141,7 @@ fn drop_burst_is_exactly_accounted_and_equivalent() {
         }
     }
     assert_eq!(
-        canonicalize(&handle.live_micro_clusters()),
+        canonicalize(&handle.read_view().live_micro_clusters()),
         canonicalize(&extractor.finish()),
         "drop burst must account for exactly the dropped records"
     );
@@ -176,7 +176,7 @@ fn jittered_schedule_is_equivalent_to_single_extractor() {
                 extractor.push(record).expect("feed is window-monotone");
             }
             assert_eq!(
-                canonicalize(&handle.live_micro_clusters()),
+                canonicalize(&handle.read_view().live_micro_clusters()),
                 canonicalize(&extractor.finish()),
                 "jitter changed the reconciled micro-clusters"
             );

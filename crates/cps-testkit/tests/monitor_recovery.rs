@@ -25,14 +25,16 @@ use atypical::online::OnlineExtractor;
 use atypical::AtypicalCluster;
 use cps_core::{AtypicalRecord, Params, RecordBatch, WindowSpec};
 use cps_geo::RoadNetwork;
+use cps_monitor::durability::{decode_entry, shard_wal_dir, WalEntry, WalOp};
 use cps_monitor::{
-    DurabilityConfig, FaultConfig, FsyncPolicy, MonitorConfig, MonitorError, MonitorService,
-    OverflowPolicy, WorkerKill,
+    DurabilityConfig, FaultConfig, FsyncPolicy, MonitorConfig, MonitorError, MonitorHandle,
+    MonitorService, OverflowPolicy, WorkerKill,
 };
+use cps_storage::wal::read_wal;
 use cps_storage::Io;
 use cps_testkit::fixtures::{temp_dir, tiny_day};
 use cps_testkit::{canonicalize, Canonical, CrashPlan, OpKind};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// Sweeps re-run the whole service once per fault point; a bounded feed
@@ -85,6 +87,15 @@ fn config(fx: &Fixture, shards: usize, wal_dir: &Path, checkpoint_interval: u64)
 /// bit-identity of the full `⟨ID, SF, TF⟩` clusters.
 type Fingerprint = (Vec<AtypicalCluster>, Vec<AtypicalCluster>);
 
+/// The live micro- and macro-clusters of one pinned view.
+fn fingerprint(handle: &MonitorHandle) -> Fingerprint {
+    let view = handle.read_view();
+    (
+        view.live_micro_clusters(),
+        view.live_macro_clusters().to_vec(),
+    )
+}
+
 /// Feeds records in order until the first ingest error; returns the index
 /// of the record the error rejected (`None` = whole feed accepted).
 fn feed(service: &mut MonitorService, records: &[AtypicalRecord]) -> Option<usize> {
@@ -110,7 +121,7 @@ fn try_run_service(
     let handle = service.handle();
     let stopped = feed(&mut service, &fx.records);
     service.finish();
-    let fp = (handle.live_micro_clusters(), handle.live_macro_clusters());
+    let fp = fingerprint(&handle);
     Some((stopped, fp))
 }
 
@@ -136,7 +147,7 @@ fn recover_and_resume(fx: &Fixture, config: &MonitorConfig) -> Fingerprint {
     );
     let metrics = service.finish();
     assert_eq!(metrics.recoveries, 1);
-    (handle.live_micro_clusters(), handle.live_macro_clusters())
+    fingerprint(&handle)
 }
 
 fn canonical(fp: &Fingerprint) -> Vec<Canonical> {
@@ -188,7 +199,6 @@ fn sweep_every_op(
             .expect("materialize crash state");
         let recovered = recover_and_resume(fx, &cfg);
         check(&recovered, &clean, &case.label);
-        let _ = std::fs::remove_dir_all(&wal_dir);
     }
 }
 
@@ -294,7 +304,6 @@ fn torn_frame_at_every_byte_recovers_bit_identically() {
             .expect("materialize crash state");
         let recovered = recover_and_resume(&fx, &cfg);
         assert_eq!(recovered, clean, "{}: recovered state diverged", case.label);
-        let _ = std::fs::remove_dir_all(&wal_dir);
         cases += 1;
     }
     assert!(cases > 60, "torn sweep too small: {cases} cases");
@@ -359,11 +368,10 @@ fn killed_workers_respawn_with_zero_record_loss() {
         extractor.push(record).expect("feed is window-monotone");
     }
     assert_eq!(
-        canonicalize(&handle.live_micro_clusters()),
+        canonicalize(&handle.read_view().live_micro_clusters()),
         canonicalize(&extractor.finish()),
         "respawned shards lost or duplicated records"
     );
-    let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
 /// Budget exhaustion: with `after_records = 0` every incarnation dies on
@@ -437,7 +445,6 @@ fn respawn_budget_exhaustion_is_typed_and_counted_once() {
     );
     assert_eq!(metrics.respawns, 1);
     assert_eq!(metrics.dead_shards, vec![victim]);
-    let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
 /// Restart after a *clean* shutdown mid-stream: no crash, no repair —
@@ -472,7 +479,7 @@ fn clean_shutdown_restart_resumes_bit_identically() {
     let handle = second.handle();
     assert!(feed(&mut second, &fx.records[half..]).is_none());
     second.finish();
-    let resumed = (handle.live_micro_clusters(), handle.live_macro_clusters());
+    let resumed = fingerprint(&handle);
 
     let uninterrupted_dir = temp_dir("restart-ref");
     let ref_cfg = config(&fx, 1, &uninterrupted_dir, 30);
@@ -482,8 +489,6 @@ fn clean_shutdown_restart_resumes_bit_identically() {
         resumed, reference,
         "restart diverged from uninterrupted run"
     );
-    let _ = std::fs::remove_dir_all(&wal_dir);
-    let _ = std::fs::remove_dir_all(&uninterrupted_dir);
 }
 
 /// Feeds the records in `batch_size` chunks until the first error;
@@ -519,7 +524,7 @@ fn try_run_service_batched(
     let handle = service.handle();
     let stopped = feed_batched(&mut service, &fx.records, batch_size);
     service.finish();
-    let fp = (handle.live_micro_clusters(), handle.live_macro_clusters());
+    let fp = fingerprint(&handle);
     Some((stopped, fp))
 }
 
@@ -546,7 +551,7 @@ fn recover_and_resume_batched(
     );
     let metrics = service.finish();
     assert_eq!(metrics.recoveries, 1);
-    (handle.live_micro_clusters(), handle.live_macro_clusters())
+    fingerprint(&handle)
 }
 
 /// The batched crash sweep: record the clean batched run's op log (with
@@ -594,7 +599,6 @@ fn sweep_every_op_batched(
             .expect("materialize crash state");
         let recovered = recover_and_resume_batched(fx, &cfg, resume_batch);
         check(&recovered, &clean, &case.label);
-        let _ = std::fs::remove_dir_all(&wal_dir);
     }
 }
 
@@ -683,7 +687,6 @@ fn torn_batch_frame_at_every_byte_recovers_bit_identically() {
             .expect("materialize crash state");
         let recovered = recover_and_resume_batched(&fx, &cfg, 5);
         assert_eq!(recovered, clean, "{}: recovered state diverged", case.label);
-        let _ = std::fs::remove_dir_all(&wal_dir);
         cases += 1;
     }
     assert!(cases > 100, "torn batch sweep too small: {cases} cases");
@@ -712,7 +715,6 @@ fn start_refuses_a_dirty_wal_dir() {
         MonitorService::recover(&cfg, fx.network.clone()).expect("recovery succeeds");
     assert_eq!(report.resume_from, 20);
     service.finish();
-    let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
 /// `recover` needs a WAL configured, and a checkpoint written for a
@@ -732,7 +734,7 @@ fn recover_rejects_missing_wal_and_shard_mismatch() {
     assert!(err.contains("wal_dir"), "{err}");
 
     // Run one shard with checkpoints, then ask recovery for four.
-    let wal_dir: PathBuf = temp_dir("mismatch");
+    let wal_dir = temp_dir("mismatch");
     let cfg = config(&fx, 1, &wal_dir, 30);
     let mut service = MonitorService::start(&cfg, fx.network.clone()).expect("service starts");
     assert!(feed(&mut service, &fx.records).is_none());
@@ -742,5 +744,103 @@ fn recover_rejects_missing_wal_and_shard_mismatch() {
         .err()
         .expect("shard mismatch must be refused");
     assert!(err.contains("shards"), "{err}");
-    let _ = std::fs::remove_dir_all(&wal_dir);
+}
+
+/// Every decoded entry of every shard log under `wal_dir`.
+fn wal_entries(wal_dir: &Path, shards: usize) -> Vec<WalEntry> {
+    let mut entries = Vec::new();
+    for shard in 0..shards {
+        let segments = read_wal(&Io::real(), &shard_wal_dir(wal_dir, shard)).expect("WAL reads");
+        for payload in segments.iter().flat_map(|s| &s.entries) {
+            entries.push(decode_entry(payload).expect("entry decodes"));
+        }
+    }
+    entries
+}
+
+/// A `wal_dir` written before ingest became batch-only still recovers.
+/// The checked-in fixture `fixtures/legacy-wal-tag0` was recorded at the
+/// commit before that change: the first 80 fixture records fed one
+/// `ingest` call each into two shards (checkpoint every 50), so its logs
+/// hold lone-record (tag-0) frames and advances past one checkpoint.
+/// Recovering it and feeding the rest must land in the state a fresh
+/// service reaches on the whole feed, and nothing written from then on
+/// may be a lone-record frame.
+#[test]
+fn legacy_record_frames_still_recover() {
+    const SHARDS: usize = 2;
+    let fx = fixture();
+    let wal_dir = temp_dir("legacy-wal");
+    let fixture_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/legacy-wal-tag0");
+    std::fs::copy(
+        fixture_dir.join("checkpoint.ck"),
+        wal_dir.join("checkpoint.ck"),
+    )
+    .expect("plant checkpoint");
+    for shard in 0..SHARDS {
+        let (from, to) = (
+            shard_wal_dir(&fixture_dir, shard),
+            shard_wal_dir(&wal_dir, shard),
+        );
+        std::fs::create_dir_all(&to).expect("shard dir");
+        for segment in std::fs::read_dir(&from).expect("fixture shard dir") {
+            let segment = segment.expect("dir entry");
+            std::fs::copy(segment.path(), to.join(segment.file_name())).expect("plant segment");
+        }
+    }
+    let legacy = wal_entries(&wal_dir, SHARDS);
+    let legacy_max_seq = legacy
+        .iter()
+        .map(|e| e.seq)
+        .max()
+        .expect("fixture has entries");
+    assert!(
+        legacy.iter().any(|e| matches!(e.op, WalOp::Record(_))),
+        "the fixture must hold lone-record frames"
+    );
+
+    let cfg = config(&fx, SHARDS, &wal_dir, 50);
+    let (mut service, report) =
+        MonitorService::recover(&cfg, fx.network.clone()).expect("legacy log recovers");
+    assert!(report.had_checkpoint);
+    assert!(report.replayed_records > 0, "the suffix holds records");
+    assert_eq!(report.resume_from, 80);
+    // One record per call next, then a restart mid-feed, then batches.
+    assert!(feed(&mut service, &fx.records[80..100]).is_none());
+    service.finish();
+    let (mut service, report) =
+        MonitorService::recover(&cfg, fx.network.clone()).expect("restart recovers");
+    assert_eq!(report.resume_from, 100);
+    let handle = service.handle();
+    service
+        .ingest_batch(&RecordBatch::from_records(&fx.records[100..]))
+        .expect("resumed feed accepted");
+    service.finish();
+
+    let fresh_dir = temp_dir("legacy-wal-fresh");
+    let fresh_cfg = config(&fx, SHARDS, &fresh_dir, 50);
+    let mut fresh = MonitorService::start(&fresh_cfg, fx.network.clone()).expect("service starts");
+    let fresh_handle = fresh.handle();
+    fresh
+        .ingest_batch(&RecordBatch::from_records(&fx.records))
+        .expect("whole feed accepted");
+    fresh.finish();
+    assert_eq!(
+        canonical(&fingerprint(&handle)),
+        canonical(&fingerprint(&fresh_handle)),
+        "recovered legacy log diverged from a fresh batched run"
+    );
+
+    let written: Vec<WalEntry> = wal_entries(&wal_dir, SHARDS)
+        .into_iter()
+        .filter(|e| e.seq > legacy_max_seq)
+        .collect();
+    assert!(
+        written.iter().any(|e| matches!(e.op, WalOp::Batch { .. })),
+        "the resumed feed must have been logged"
+    );
+    assert!(
+        !written.iter().any(|e| matches!(e.op, WalOp::Record(_))),
+        "ingest must no longer write lone-record frames"
+    );
 }

@@ -99,7 +99,6 @@ fn eio_at_every_op_leaves_a_readable_prefix() {
         }
         let _ = std::fs::remove_file(&path);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -139,7 +138,6 @@ fn torn_block_writes_never_yield_wrong_records() {
             let _ = std::fs::remove_file(&path);
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -157,7 +155,6 @@ fn latency_is_not_a_failure() {
     assert_eq!(n, records.len() as u64);
     let got = assert_clean_prefix(&path, &records, "latency");
     assert_eq!(got, records.len(), "all records survive a slow write");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -208,5 +205,4 @@ fn read_side_eio_at_every_op_is_surfaced() {
             }
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -92,7 +92,7 @@ fn run(cfg: &MonitorConfig, fx: &Fixture) -> (Vec<Canonical>, u64) {
     assert_eq!(metrics.records_ingested, fx.records.len() as u64);
     assert_eq!(metrics.records_dropped, 0);
     (
-        canonicalize(&handle.live_micro_clusters()),
+        canonicalize(&handle.read_view().live_micro_clusters()),
         metrics.rebalances,
     )
 }
@@ -150,7 +150,7 @@ fn worker_kill_during_rebalance_epochs_loses_nothing() {
         let mut cfg = base_config(&fx);
         enable_rebalancing(&mut cfg);
         cfg.durability = DurabilityConfig {
-            wal_dir: Some(wal_dir.clone()),
+            wal_dir: Some(wal_dir.to_path_buf()),
             fsync: FsyncPolicy::Group,
             group_commit_records: 4,
             // Frequent checkpoints keep each incarnation's replay well
@@ -186,11 +186,10 @@ fn worker_kill_during_rebalance_epochs_loses_nothing() {
             extractor.push(record).expect("feed is window-monotone");
         }
         assert_eq!(
-            canonicalize(&handle.live_micro_clusters()),
+            canonicalize(&handle.read_view().live_micro_clusters()),
             canonicalize(&extractor.finish()),
             "kill + respawn across rebalance epochs lost or duplicated records"
         );
-        let _ = std::fs::remove_dir_all(&wal_dir);
     });
 }
 
@@ -207,7 +206,7 @@ fn restart_restores_rebalanced_map_from_checkpoint() {
         let mut cfg = base_config(&fx);
         enable_rebalancing(&mut cfg);
         cfg.durability = DurabilityConfig {
-            wal_dir: Some(wal_dir.clone()),
+            wal_dir: Some(wal_dir.to_path_buf()),
             fsync: FsyncPolicy::Group,
             group_commit_records: 4,
             checkpoint_interval_records: 50,
@@ -243,10 +242,9 @@ fn restart_restores_rebalanced_map_from_checkpoint() {
 
         let (static_out, _) = run(&base_config(&fx), &fx);
         assert_eq!(
-            canonicalize(&handle.live_micro_clusters()),
+            canonicalize(&handle.read_view().live_micro_clusters()),
             static_out,
             "restart across rebalance epochs diverged from the static-map run"
         );
-        let _ = std::fs::remove_dir_all(&wal_dir);
     });
 }

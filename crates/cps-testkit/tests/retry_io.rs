@@ -137,9 +137,6 @@ fn transient_eio_burst_leaves_byte_identical_files() {
                 "{name}: retried contents diverged from the fault-free run"
             );
         }
-
-        let _ = std::fs::remove_dir_all(&clean_dir);
-        let _ = std::fs::remove_dir_all(&faulted_dir);
     });
 }
 
@@ -199,7 +196,6 @@ fn retry_budget_exhaustion_is_a_typed_wal_error() {
             case.feed().len() as u64,
             "the failed record is accounted, everything else ingested"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     });
 }
 
@@ -254,6 +250,5 @@ fn recovery_retries_transient_read_faults() {
             second.ingest(r).expect("resumed feed accepted");
         }
         second.finish();
-        let _ = std::fs::remove_dir_all(&dir);
     });
 }

@@ -6,14 +6,13 @@
 //! wrong data. Mirrors the PR-2 row-bucket sweeps on the new format.
 
 use atypical::store::{ForestLevel, ForestStore, StoreBackend, CLUSTERS_PER_CHUNK};
-use cps_core::CpsError;
-use cps_core::SensorId;
+use cps_core::{CpsError, ScratchDir, SensorId};
 use cps_storage::{Io, Predicate};
 use cps_testkit::fixtures::{random_clusters, temp_dir};
 
-/// A store with one multi-chunk day bucket; returns the store, the
-/// segment path, and its clean bytes.
-fn representative_segment(tag: &str) -> (ForestStore, std::path::PathBuf, Vec<u8>) {
+/// A store with one multi-chunk day bucket; returns the directory guard,
+/// the store, the segment path, and its clean bytes.
+fn representative_segment(tag: &str) -> (ScratchDir, ForestStore, std::path::PathBuf, Vec<u8>) {
     let dir = temp_dir(tag);
     let store = ForestStore::open_with_backend(&dir, Io::real(), StoreBackend::Columnar)
         .expect("store opens");
@@ -21,12 +20,12 @@ fn representative_segment(tag: &str) -> (ForestStore, std::path::PathBuf, Vec<u8
     store.save(ForestLevel::Day, 0, &clusters).expect("save");
     let path = store.bucket_path(ForestLevel::Day, 0);
     let clean = std::fs::read(&path).expect("segment written");
-    (store, path, clean)
+    (dir, store, path, clean)
 }
 
 #[test]
 fn every_byte_flip_is_a_typed_error() {
-    let (store, path, clean) = representative_segment("segcorrupt-flip");
+    let (_dir, store, path, clean) = representative_segment("segcorrupt-flip");
     assert!(
         clean.len() > 20 + 3 * 36,
         "segment must span header, directory, and chunks"
@@ -50,7 +49,7 @@ fn every_byte_flip_is_a_typed_error() {
 
 #[test]
 fn every_truncation_is_a_typed_corrupt_error() {
-    let (store, path, clean) = representative_segment("segcorrupt-trunc");
+    let (_dir, store, path, clean) = representative_segment("segcorrupt-trunc");
     for len in 0..clean.len() {
         std::fs::write(&path, &clean[..len]).expect("plant truncation");
         match store.load(ForestLevel::Day, 0) {
@@ -71,7 +70,7 @@ fn every_truncation_is_a_typed_corrupt_error() {
 /// still exact — and a full scan of the same file does reject it.
 #[test]
 fn corruption_in_a_skipped_chunk_is_invisible_to_pushdown_but_fatal_to_full_scans() {
-    let (store, path, clean) = representative_segment("segcorrupt-skip");
+    let (_dir, store, path, clean) = representative_segment("segcorrupt-skip");
     // The last chunk's last byte: with an impossible sensor predicate the
     // scan decodes nothing, so the flip sits in skipped (or never-read)
     // territory.

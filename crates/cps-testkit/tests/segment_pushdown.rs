@@ -86,8 +86,6 @@ fn pushdown_equals_full_decode_then_filter() {
             assert_eq!(from_col.total, clusters.len(), "round {round}");
             assert_eq!(from_row.total, clusters.len(), "round {round}");
         }
-        let _ = std::fs::remove_dir_all(&dir_row);
-        let _ = std::fs::remove_dir_all(&dir_col);
     });
 }
 
@@ -125,7 +123,6 @@ fn selective_predicates_actually_skip_chunks() {
             .cloned()
             .collect();
         assert_eq!(filtered.clusters, oracle);
-        let _ = std::fs::remove_dir_all(&dir);
     });
 }
 
@@ -153,6 +150,5 @@ fn hopeless_predicates_skip_whole_segments() {
             "zone rollup must refute the whole segment: {delta:?}"
         );
         assert_eq!(delta.bytes_decoded, 0, "{delta:?}");
-        let _ = std::fs::remove_dir_all(&dir);
     });
 }

@@ -11,7 +11,7 @@
 
 use atypical::store::{cluster_matches, write_clusters, ForestLevel, ForestStore};
 use atypical::AtypicalCluster;
-use cps_core::{CpsError, SensorId};
+use cps_core::{CpsError, ScratchDir, SensorId};
 use cps_storage::Predicate;
 use cps_testkit::fixtures::{random_clusters, temp_dir};
 use std::path::PathBuf;
@@ -40,7 +40,7 @@ fn regenerate_fixture_when_asked() {
 
 /// Seeds a store directory with the legacy fixture as day 0, exactly as
 /// an upgrade-in-place deployment would find it.
-fn legacy_store_dir(tag: &str) -> PathBuf {
+fn legacy_store_dir(tag: &str) -> ScratchDir {
     let dir = temp_dir(tag);
     let clusters_dir = dir.join("clusters");
     std::fs::create_dir_all(&clusters_dir).expect("store layout");
@@ -78,7 +78,6 @@ fn legacy_row_buckets_stay_readable_under_the_columnar_default() {
         .collect();
     assert_eq!(filtered.clusters, oracle);
     assert_eq!(filtered.total, expected.len());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -107,7 +106,6 @@ fn save_migrates_a_legacy_bucket_to_columnar() {
             .expect("day 0"),
         expected
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -128,5 +126,4 @@ fn future_segment_versions_are_rejected_with_a_typed_error() {
         }
         other => panic!("future version must be a typed rejection, got {other:?}"),
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,7 +8,7 @@
 //! ```
 
 use cps_core::record::AtypicalCriterion;
-use cps_core::AtypicalRecord;
+use cps_core::{AtypicalRecord, RecordBatch};
 use cps_monitor::{MonitorConfig, MonitorService};
 use cps_sim::{Scale, SimConfig, TrafficSim};
 use std::sync::Arc;
@@ -36,17 +36,26 @@ fn main() {
         service.shard_map().boundary_sensor_count()
     );
 
+    // One batch per window, as a live collector would hand them over.
     let mut reported = 0;
-    for reading in &feed {
-        if let Some(severity) = criterion.classify(reading) {
-            let record = AtypicalRecord::new(reading.sensor, reading.window, severity);
-            service.ingest(record).expect("feed is window-ordered");
-        } else {
-            // Quiet readings still move the shard clocks forward so open
+    for readings in feed.chunk_by(|a, b| a.window == b.window) {
+        let window = readings[0].window;
+        let mut batch = RecordBatch::new();
+        for reading in readings {
+            if let Some(severity) = criterion.classify(reading) {
+                batch.push(AtypicalRecord::new(reading.sensor, window, severity));
+            }
+        }
+        if batch.is_empty() {
+            // Quiet windows still move the shard clocks forward so open
             // events seal on time.
             service
-                .advance_to(reading.window)
+                .advance_to(window)
                 .expect("advance on a healthy service");
+        } else {
+            service
+                .ingest_batch(&batch)
+                .expect("feed is window-ordered");
         }
 
         // Surface newly reconciled micro-clusters as they finalize.
@@ -54,7 +63,7 @@ fn main() {
         if finalized > reported {
             println!(
                 "[{}] {} atypical event(s) on the board",
-                spec.clock_label(reading.window),
+                spec.clock_label(window),
                 finalized
             );
             reported = finalized;
@@ -65,7 +74,7 @@ fn main() {
     let metrics = service.finish();
     println!("\n{metrics}\n");
 
-    let result = handle.query_guided(0, 1).expect("guided query");
+    let result = handle.read_view().query_guided(0, 1).expect("guided query");
     println!(
         "guided day query: {} of {} micro-clusters survived {} red regions",
         result.input_clusters, result.candidate_clusters, result.num_red_regions

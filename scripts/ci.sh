@@ -26,8 +26,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo test -q"
-cargo test --workspace -q
+# --no-fail-fast: one red target must never hide the targets behind it.
+echo "==> cargo test --workspace --no-fail-fast -q"
+cargo test --workspace --no-fail-fast -q
 
 # The fault-injection and crash-recovery suite once more under a fixed
 # seed, so the exact sweep CI certifies is reproducible on any machine
@@ -36,8 +37,9 @@ echo "==> CPS_FAULT_SEED=42 cargo test -p cps-testkit -q"
 CPS_FAULT_SEED=42 cargo test -p cps-testkit -q
 
 # Crash-recovery gate for the durable monitor under the same fixed seed:
-# the exhaustive every-op-boundary crash sweeps (record-at-a-time AND the
-# batched-frame variants, including torn batch frames at every byte) plus
+# the exhaustive every-op-boundary crash sweeps (one record per call AND
+# multi-record batches, including torn batch frames at every byte), the
+# checked-in pre-batch-only WAL fixture, plus
 # the WAL-format fuzz (torn frames at every byte of representative
 # appends, tail repair, segment rotation edge cases in cps-storage's wal
 # unit tests).
@@ -45,9 +47,9 @@ echo "==> CPS_FAULT_SEED=42 monitor crash-recovery sweeps"
 CPS_FAULT_SEED=42 cargo test -q -p cps-testkit --test monitor_recovery
 CPS_FAULT_SEED=42 cargo test -q -p cps-storage wal
 
-# Batched-ingest differential gate: ingest_batch vs record-at-a-time
-# ingest must be record-equivalent at every swept batch size (clean runs,
-# mid-stream checkpoints, WAL on and off), and the adaptive rebalancer
+# Batched-ingest differential gate: every swept batch size (one record
+# per call included) × shard count must equal one in-order extractor, and
+# a WAL restart must resume bit-identically; the adaptive rebalancer
 # must be output-transparent under seeded skew, worker kills, and
 # restart-from-checkpoint.
 echo "==> CPS_FAULT_SEED=42 batched ingest differential + rebalance suites"
@@ -126,9 +128,10 @@ test -s results/BENCH_forest_smoke.json
 
 # Serving-layer concurrency gate: the seeded stress suite (readers racing
 # ingest, day seals, and checkpoints — every pinned snapshot checked for
-# torn-publication invariants) plus the quiescent differential suite
-# (mutex == ReadView == cached == cache-off, including the recovered-
-# service initial view), a few times so the scheduler gets chances to
+# torn-publication invariants and for sealed days already on disk) plus
+# the quiescent differential suite (ReadView == cached == cache-off ==
+# the testkit's batch reference, including the recovered-service initial
+# view), a few times so the scheduler gets chances to
 # interleave differently on small hosts.
 echo "==> serving-layer stress + differential suites"
 for _ in 1 2 3; do
@@ -137,8 +140,8 @@ done
 cargo test -q -p cps-monitor --test serving_differential
 
 # Query-serving bench smoke: tiny feed, one iteration, one reader per
-# path. The run itself cross-checks cached == uncached == mutex answers
-# at quiescence (it panics on any divergence before writing the
+# path. The run itself cross-checks cached == uncached == reference
+# answers at quiescence (it panics on any divergence before writing the
 # artifact), so this gates the snapshot publication + cache path end to
 # end. The committed repo-root BENCH_query_serving.json is the
 # full-scale release artifact from `repro query-serving --scale small
@@ -153,7 +156,7 @@ test -s results/BENCH_query_serving_smoke.json
 # itself asserts planted checkpoints shrink the replayed suffix, that
 # recovery succeeds at every suffix length, and — in the batched-ingest
 # sweep — that every batch size produces a final cluster state equal to
-# the record-at-a-time run's (the equality gate panics before the
+# the one-record-per-call run's (the equality gate panics before the
 # artifact is written), so this also smokes the batch hot path end to
 # end at tiny scale.
 echo "==> repro monitor-recovery (smoke)"

@@ -6,16 +6,18 @@
 
 use atypical::pipeline::build_forest_from_store;
 use atypical::redzone::RedZones;
-use cps_core::{DatasetId, Params, Severity};
+use cps_core::{DatasetId, Params, ScratchDir, Severity};
 use cps_cube::cube::build_mc;
 use cps_cube::TemporalLevel;
 use cps_geo::grid::RegionHierarchy;
 use cps_sim::{Scale, SimConfig, TrafficSim};
 use cps_storage::IoStats;
 
-fn setup() -> (TrafficSim, cps_storage::DatasetStore, std::path::PathBuf) {
-    let root = std::env::temp_dir().join(format!("atypical-xmodel-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+/// One simulated archive per call, in its own directory: the three tests
+/// run on parallel threads of one process. The guard is returned so the
+/// directory lives as long as the store is read.
+fn setup() -> (TrafficSim, cps_storage::DatasetStore, ScratchDir) {
+    let root = ScratchDir::new("xmodel");
     let sim = TrafficSim::new(
         SimConfig::new(Scale::Tiny, 31)
             .with_datasets(1)
@@ -27,7 +29,7 @@ fn setup() -> (TrafficSim, cps_storage::DatasetStore, std::path::PathBuf) {
 
 #[test]
 fn cube_and_forest_totals_agree() {
-    let (sim, store, root) = setup();
+    let (sim, store, _root) = setup();
     let hierarchy = RegionHierarchy::standard(sim.network(), 3.0, 3);
     let datasets = [DatasetId::new(1)];
     let io = IoStats::shared();
@@ -45,13 +47,11 @@ fn cube_and_forest_totals_agree() {
         .sum();
     assert_eq!(cube_total, forest_total);
     assert_eq!(mc.n_records as usize, built.stats.n_records);
-
-    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
 fn redzone_f_matches_cube_region_rollup() {
-    let (sim, store, root) = setup();
+    let (sim, store, _root) = setup();
     let hierarchy = RegionHierarchy::standard(sim.network(), 3.0, 3);
     let datasets = [DatasetId::new(1)];
     let io = IoStats::shared();
@@ -90,13 +90,11 @@ fn redzone_f_matches_cube_region_rollup() {
             assert_eq!(zones.f_value(cps_core::RegionId::new(r)), Severity::ZERO);
         }
     }
-
-    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
 fn oc_scans_more_but_answers_the_same_range_totals() {
-    let (sim, store, root) = setup();
+    let (sim, store, _root) = setup();
     let hierarchy = RegionHierarchy::standard(sim.network(), 3.0, 3);
     let datasets = [DatasetId::new(1)];
     let io = IoStats::shared();
@@ -115,6 +113,4 @@ fn oc_scans_more_but_answers_the_same_range_totals() {
         mc_io.bytes_read
     );
     assert!(oc.cube.base_cells() >= mc.cube.base_cells());
-
-    let _ = std::fs::remove_dir_all(&root);
 }

@@ -4,21 +4,14 @@
 use atypical::eval::evaluate;
 use atypical::pipeline::build_forest_from_store;
 use atypical::{Query, QueryEngine, Strategy};
-use cps_core::{DatasetId, Params};
+use cps_core::{DatasetId, Params, ScratchDir};
 use cps_geo::UniformGrid;
 use cps_sim::{Scale, SimConfig, TrafficSim};
 use cps_storage::IoStats;
-use std::path::PathBuf;
-
-fn temp_root(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("atypical-e2e-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
 
 #[test]
 fn full_pipeline_tiny_archive() {
-    let root = temp_root("pipeline");
+    let root = ScratchDir::new("e2e-pipeline");
     let config = SimConfig::new(Scale::Tiny, 99)
         .with_datasets(1)
         .with_days_per_dataset(7);
@@ -69,8 +62,6 @@ fn full_pipeline_tiny_archive() {
     assert_eq!(gui_pr.recall, 1.0, "Gui must not lose significant clusters");
     let all_pr = evaluate(&all, &truth_refs);
     assert_eq!(all_pr.recall, 1.0);
-
-    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]

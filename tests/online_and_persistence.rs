@@ -6,7 +6,7 @@ use atypical::online::OnlineExtractor;
 use atypical::pipeline::build_forest_from_records;
 use atypical::store::{ForestLevel, ForestStore};
 use atypical::{AtypicalForest, Query, QueryEngine, Strategy};
-use cps_core::{Params, Severity};
+use cps_core::{Params, ScratchDir, Severity};
 use cps_geo::UniformGrid;
 use cps_sim::{Scale, SimConfig, TrafficSim};
 
@@ -93,8 +93,7 @@ fn persisted_forest_reloads_and_answers_identically() {
     );
     let mut original = built.forest;
 
-    let root = std::env::temp_dir().join(format!("atypical-persist-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+    let root = ScratchDir::new("persist");
     let store = ForestStore::open(&root).unwrap();
     assert_eq!(store.save_forest_days(&original).unwrap(), 5);
     // Materialize a week level too.
@@ -116,7 +115,6 @@ fn persisted_forest_reloads_and_answers_identically() {
     // The materialized week level round-trips too.
     let week = store.load(ForestLevel::Week, 0).unwrap().unwrap();
     assert_eq!(week, original.week(0));
-    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
