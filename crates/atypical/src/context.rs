@@ -5,6 +5,10 @@
 //! dimensions by the accident time and location." Both joins are generic:
 //! any per-day label stream and any point-event stream work, so the module
 //! has no dependency on a specific simulator.
+//!
+//! Offline only: its callers are `repro context`
+//! (`cps-bench/src/figs/context.rs`) and the `forest_report` example;
+//! the monitor does not use it.
 
 use crate::cluster::AtypicalCluster;
 use cps_core::fx::FxHashMap;

@@ -12,6 +12,10 @@
 //!   returned *significant* cluster matches it (similarity ≥ 0.5 under the
 //!   forgiving `max` balance — a pruned strategy reconstructs clusters with
 //!   slightly reduced features, so exact equality would be wrong).
+//!
+//! Offline only: its callers are `repro fig18` / `fig19`
+//! (`cps-bench/src/figs/effectiveness.rs`), the cross-domain conformance
+//! suite and the tests; the monitor does not use it.
 
 use crate::cluster::AtypicalCluster;
 use crate::query::QueryResult;

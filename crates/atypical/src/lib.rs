@@ -106,4 +106,4 @@ pub use integrate_index::IndexedIntegrator;
 pub use query::{Query, QueryEngine, QueryResult, Strategy, QUERY_ID_BASE};
 pub use significant::significance_threshold;
 pub use similarity::similarity;
-pub use store::{cluster_matches, FilteredClusters, ForestLevel, ForestStore, StoreBackend};
+pub use store::{cluster_matches, FilteredClusters, ForestLevel, ForestStore};

@@ -5,6 +5,10 @@
 //! per-(sensor, hour-of-day) statistics, answering the paper's motivating
 //! questions prospectively: *where do congestions usually happen* and *when
 //! do they usually start*.
+//!
+//! Offline only: its callers are `repro predict`
+//! (`cps-bench/src/figs/prediction.rs`) and the `forest_report` example;
+//! the monitor does not use it.
 
 use crate::forest::AtypicalForest;
 use cps_core::fx::FxHashMap;

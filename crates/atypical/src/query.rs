@@ -563,11 +563,10 @@ mod tests {
 
     /// `execute_stored` must agree with in-memory `execute` on everything
     /// but wall-clock and macro ids — for every strategy, scoped and
-    /// unscoped, on both storage backends.
+    /// unscoped, over columnar segments and over legacy row buckets.
     #[test]
     fn stored_execution_matches_in_memory_on_both_backends() {
-        use crate::store::{ForestStore, StoreBackend};
-        use cps_storage::Io;
+        use crate::store::tests::plant_row_bucket;
 
         let mut fx = fixture();
         let params = *fx.forest.params();
@@ -576,10 +575,16 @@ mod tests {
         let bbox = BoundingBox::of_point(LOS_ANGELES).inflated_miles(2.0);
         let queries = [Query::days(0, 14), Query::days(2, 7).in_bbox(bbox)];
 
-        for backend in [StoreBackend::Row, StoreBackend::Columnar] {
+        for legacy_row in [true, false] {
             let dir = ScratchDir::new("query-stored");
-            let store = ForestStore::open_with_backend(&dir, Io::real(), backend).unwrap();
-            store.save_forest_days(&fx.forest).unwrap();
+            let store = ForestStore::open(&dir).unwrap();
+            if legacy_row {
+                for day in fx.forest.days().collect::<Vec<_>>() {
+                    plant_row_bucket(&dir, ForestLevel::Day, day, fx.forest.day(day));
+                }
+            } else {
+                store.save_forest_days(&fx.forest).unwrap();
+            }
 
             for query in &queries {
                 for strategy in [Strategy::All, Strategy::Pru, Strategy::Gui] {
@@ -589,8 +594,7 @@ mod tests {
                         .execute_stored(&store, spec, query, strategy, &mut ids)
                         .unwrap();
                     let tag = format!(
-                        "{} {strategy:?} bbox={}",
-                        backend.name(),
+                        "legacy_row={legacy_row} {strategy:?} bbox={}",
                         query.bbox.is_some()
                     );
                     assert_eq!(stored.candidate_clusters, mem.candidate_clusters, "{tag}");

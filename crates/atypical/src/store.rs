@@ -6,18 +6,19 @@
 //! This module is that persistence layer: cluster sets are written one
 //! file per (level, bucket) — e.g. the micro-clusters of day 17 or the
 //! macro-clusters of week 3 — and loaded on demand when a query touches
-//! the bucket. Two on-disk backends exist:
+//! the bucket. Buckets are written in one format and read in two:
 //!
-//! * **Columnar** (`.acs`, the default): a zone-mapped
+//! * **Columnar** (`.acs`, the only format written): a zone-mapped
 //!   [`cps_storage::segment`] whose chunks hold ~[`CLUSTERS_PER_CHUNK`]
 //!   clusters as delta+varint/RLE column streams, sorted by first sensor
 //!   so a red-zone [`Predicate`] skips whole chunks (and segments)
 //!   without decoding them. [`load_filtered`](ForestStore::load_filtered)
 //!   is the pushdown entry point; results are restored to the exact
-//!   insertion order via a stored position column, so query answers are
-//!   byte-identical to the row backend's.
-//! * **Row** (`.acf`, the original format, still readable for
-//!   migration): every cluster decoded on every load.
+//!   insertion order via a stored position column, so answers equal a
+//!   full decode followed by [`cluster_matches`].
+//! * **Row** (`.acf`, the original format): read-only, migrated on save.
+//!   A store directory written by an older build keeps loading; every
+//!   cluster of such a bucket is decoded on every load.
 //!
 //! Row format (little-endian):
 //!
@@ -49,7 +50,6 @@ use cps_storage::segment::{
     scan_segment, SegmentScan, SegmentWriter, ZoneMap,
 };
 use cps_storage::{Io, Predicate};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -62,8 +62,8 @@ const SEGMENT_KIND_CLUSTERS: u8 = 1;
 /// a chunk is the pruning granule, and a guided query's red-region
 /// sensor set only refutes a chunk when *none* of its clusters touch
 /// it, so fine chunks are what make sensor pushdown bite (4 clusters
-/// ≈ 5–10× fewer bytes decoded on selective queries, measured by
-/// `repro segment-scan`). The price is a larger zone-map directory —
+/// ≈ 5–10× fewer bytes decoded on selective queries than a full
+/// decode). The price is a larger zone-map directory —
 /// about 15% more file bytes than 8-cluster chunks — which the exact
 /// per-chunk sensor lists already dominate anyway.
 pub const CLUSTERS_PER_CHUNK: usize = 4;
@@ -126,42 +126,8 @@ pub fn decode_cluster(buf: &mut &[u8]) -> Result<AtypicalCluster> {
     Ok(cluster)
 }
 
-/// Writes a cluster set to `path` (atomically via a temp file + rename).
-pub fn write_clusters(path: &Path, clusters: &[AtypicalCluster]) -> Result<()> {
-    write_clusters_with(&Io::real(), path, clusters)
-}
-
-/// [`write_clusters`] through an explicit I/O backend.
-///
-/// The write protocol is: create temp file, write header, write payload,
-/// fsync, rename over `path`. Each step is one backend operation, so a
-/// fault-injecting backend can crash the protocol at every point and a
-/// recovery test can check the absent-or-complete guarantee.
-pub fn write_clusters_with(io: &Io, path: &Path, clusters: &[AtypicalCluster]) -> Result<()> {
-    if let Some(parent) = path.parent() {
-        io.create_dir_all(parent)?;
-    }
-    let mut payload = Vec::new();
-    for c in clusters {
-        encode_cluster(c, &mut payload);
-    }
-    let mut header = Vec::with_capacity(12);
-    header.put_slice(&MAGIC);
-    header.put_u32_le(clusters.len() as u32);
-    header.put_u32_le(crc32(&payload));
-
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = io.create(&tmp)?;
-        f.write_all(&header)?;
-        f.write_all(&payload)?;
-        f.sync()?;
-    }
-    io.rename(&tmp, path)?;
-    Ok(())
-}
-
-/// Reads a cluster set from `path`, verifying the checksum.
+/// Reads a legacy row-format (`.acf`) cluster set from `path`, verifying
+/// the checksum.
 pub fn read_clusters(path: &Path) -> Result<Vec<AtypicalCluster>> {
     read_clusters_with(&Io::real(), path)
 }
@@ -172,8 +138,7 @@ pub fn read_clusters_with(io: &Io, path: &Path) -> Result<Vec<AtypicalCluster>> 
 }
 
 /// Row read with I/O accounting: the whole payload is always decoded, so
-/// `bytes_decoded` advances by the full payload length — the baseline the
-/// columnar pushdown path is measured against.
+/// `bytes_decoded` advances by the full payload length.
 fn read_clusters_row_stats(
     io: &Io,
     path: &Path,
@@ -219,7 +184,7 @@ fn read_clusters_row_stats(
 }
 
 // ---------------------------------------------------------------------------
-// Columnar backend: cluster column chunks inside a zone-mapped segment.
+// Columnar format: cluster column chunks inside a zone-mapped segment.
 // ---------------------------------------------------------------------------
 
 /// Exact record-level form of a [`Predicate`] over clusters — the filter
@@ -521,91 +486,41 @@ impl ForestLevel {
     }
 }
 
-/// Which on-disk format a [`ForestStore`] writes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum StoreBackend {
-    /// The original row-oriented `.acf` buckets: every load decodes
-    /// everything.
-    Row,
-    /// Zone-mapped columnar `.acs` segments with predicate pushdown
-    /// (the default).
-    #[default]
-    Columnar,
-}
-
-impl StoreBackend {
-    /// Config/artifact label.
-    pub fn name(self) -> &'static str {
-        match self {
-            StoreBackend::Row => "row",
-            StoreBackend::Columnar => "columnar",
-        }
-    }
-
-    /// Parses a config label.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "row" => Some(StoreBackend::Row),
-            "columnar" => Some(StoreBackend::Columnar),
-            _ => None,
-        }
-    }
-
-    fn extension(self) -> &'static str {
-        match self {
-            StoreBackend::Row => "acf",
-            StoreBackend::Columnar => "acs",
-        }
-    }
-
-    fn other(self) -> Self {
-        match self {
-            StoreBackend::Row => StoreBackend::Columnar,
-            StoreBackend::Columnar => StoreBackend::Row,
-        }
-    }
+/// A materialized bucket's file, by format.
+enum BucketFile {
+    /// A columnar `.acs` segment.
+    Columnar(PathBuf),
+    /// A legacy row `.acf` bucket (read-only).
+    Row(PathBuf),
 }
 
 /// Directory-backed store of materialized forest levels.
 ///
-/// Layout: `<root>/clusters/<level>-<bucket>.acs` (columnar, default) or
-/// `.acf` (row). Loads read whichever format a bucket is in — a store
-/// directory written by the old row code keeps working, and a `save`
-/// migrates the bucket to the store's configured backend (the stale twin
-/// file is removed after the new one commits).
+/// Layout: `<root>/clusters/<level>-<bucket>.acs`. Loads also resolve a
+/// legacy row `<level>-<bucket>.acf` — a store directory written by an
+/// older build keeps working — and a `save` migrates such a bucket to
+/// columnar (the stale `.acf` twin is removed after the new file
+/// commits).
 pub struct ForestStore {
     root: PathBuf,
     io: Io,
-    backend: StoreBackend,
     stats: Arc<IoStats>,
 }
 
 impl ForestStore {
-    /// Opens (creating if needed) a forest store under `root` with the
-    /// default (columnar) backend.
+    /// Opens (creating if needed) a forest store under `root`.
     pub fn open(root: &Path) -> Result<Self> {
         Self::open_with(root, Io::real())
     }
 
     /// Opens a forest store whose file operations go through `io`.
     pub fn open_with(root: &Path, io: Io) -> Result<Self> {
-        Self::open_with_backend(root, io, StoreBackend::default())
-    }
-
-    /// Opens a forest store with an explicit write backend.
-    pub fn open_with_backend(root: &Path, io: Io, backend: StoreBackend) -> Result<Self> {
         io.create_dir_all(&root.join("clusters"))?;
         Ok(Self {
             root: root.to_owned(),
             io,
-            backend,
             stats: IoStats::shared(),
         })
-    }
-
-    /// The backend new buckets are written in.
-    pub fn backend(&self) -> StoreBackend {
-        self.backend
     }
 
     /// Snapshot of the store's I/O counters (`bytes_decoded`,
@@ -614,48 +529,41 @@ impl ForestStore {
         self.stats.snapshot()
     }
 
-    fn path_as(&self, backend: StoreBackend, level: ForestLevel, bucket: u32) -> PathBuf {
-        self.root.join("clusters").join(format!(
-            "{}-{bucket:05}.{}",
-            level.prefix(),
-            backend.extension()
-        ))
+    fn path_as(&self, extension: &str, level: ForestLevel, bucket: u32) -> PathBuf {
+        self.root
+            .join("clusters")
+            .join(format!("{}-{bucket:05}.{extension}", level.prefix()))
     }
 
-    /// The backend whose file exists for a bucket: the store's own
-    /// backend wins when both do (a crash between commit and twin removal
-    /// can leave both behind; the fresh write is the truth).
-    fn resolve(&self, level: ForestLevel, bucket: u32) -> Option<(StoreBackend, PathBuf)> {
-        for backend in [self.backend, self.backend.other()] {
-            let path = self.path_as(backend, level, bucket);
-            if path.exists() {
-                return Some((backend, path));
-            }
+    /// The file holding a bucket. The columnar segment wins when both
+    /// formats exist (a crash between commit and twin removal can leave
+    /// both behind; the fresh write is the truth).
+    fn resolve(&self, level: ForestLevel, bucket: u32) -> Option<BucketFile> {
+        let columnar = self.bucket_path(level, bucket);
+        if columnar.exists() {
+            return Some(BucketFile::Columnar(columnar));
         }
-        None
+        let row = self.path_as("acf", level, bucket);
+        row.exists().then_some(BucketFile::Row(row))
     }
 
-    /// Filesystem path of one bucket in the store's write backend, for
+    /// Filesystem path of one bucket's columnar segment, for
     /// observability (e.g. reporting snapshot sizes); the file may not
     /// exist yet.
     pub fn bucket_path(&self, level: ForestLevel, bucket: u32) -> PathBuf {
-        self.path_as(self.backend, level, bucket)
+        self.path_as("acs", level, bucket)
     }
 
-    /// Persists one bucket of a level, then removes the other backend's
-    /// stale twin (if any) so readers cannot resolve outdated data.
+    /// Persists one bucket of a level as a columnar segment, then removes
+    /// a legacy row twin (if any) so readers cannot resolve outdated data.
     pub fn save(
         &self,
         level: ForestLevel,
         bucket: u32,
         clusters: &[AtypicalCluster],
     ) -> Result<()> {
-        let path = self.path_as(self.backend, level, bucket);
-        match self.backend {
-            StoreBackend::Row => write_clusters_with(&self.io, &path, clusters)?,
-            StoreBackend::Columnar => write_clusters_columnar_with(&self.io, &path, clusters)?,
-        }
-        let twin = self.path_as(self.backend.other(), level, bucket);
+        write_clusters_columnar_with(&self.io, &self.bucket_path(level, bucket), clusters)?;
+        let twin = self.path_as("acf", level, bucket);
         if twin.exists() {
             self.io.remove_file(&twin)?;
         }
@@ -666,20 +574,20 @@ impl ForestStore {
     pub fn load(&self, level: ForestLevel, bucket: u32) -> Result<Option<Vec<AtypicalCluster>>> {
         match self.resolve(level, bucket) {
             None => Ok(None),
-            Some((StoreBackend::Row, path)) => {
+            Some(BucketFile::Row(path)) => {
                 read_clusters_row_stats(&self.io, &path, Some(&self.stats)).map(Some)
             }
-            Some((StoreBackend::Columnar, path)) => {
+            Some(BucketFile::Columnar(path)) => {
                 read_clusters_columnar_with(&self.io, &path, Some(&self.stats)).map(Some)
             }
         }
     }
 
     /// Loads the clusters of one bucket that match `pred`, in original
-    /// order, plus the bucket's total record count. On the columnar
-    /// backend, chunks (or the whole segment) whose zone maps refute the
-    /// predicate are skipped without decoding; on the row backend this is
-    /// a full decode plus an in-memory filter — the exact result is
+    /// order, plus the bucket's total record count. On a columnar
+    /// segment, chunks (or the whole segment) whose zone maps refute the
+    /// predicate are skipped without decoding; a legacy row bucket is
+    /// fully decoded and filtered in memory — the exact result is
     /// identical by construction.
     pub fn load_filtered(
         &self,
@@ -689,7 +597,7 @@ impl ForestStore {
     ) -> Result<Option<FilteredClusters>> {
         match self.resolve(level, bucket) {
             None => Ok(None),
-            Some((StoreBackend::Row, path)) => {
+            Some(BucketFile::Row(path)) => {
                 let all = read_clusters_row_stats(&self.io, &path, Some(&self.stats))?;
                 let total = all.len();
                 let clusters: Vec<AtypicalCluster> = all
@@ -702,7 +610,7 @@ impl ForestStore {
                     scan: SegmentScan::default(),
                 }))
             }
-            Some((StoreBackend::Columnar, path)) => {
+            Some(BucketFile::Columnar(path)) => {
                 read_clusters_columnar_filtered(&self.io, &path, pred, Some(&self.stats)).map(Some)
             }
         }
@@ -764,10 +672,40 @@ impl ForestStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cps_core::ScratchDir;
     use cps_core::{Params, WindowSpec};
+
+    /// Reference encoder of the legacy row format, which the store only
+    /// reads: the bytes an older build left on disk.
+    pub(crate) fn encode_row_bucket(clusters: &[AtypicalCluster]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        for c in clusters {
+            encode_cluster(c, &mut payload);
+        }
+        let mut file = Vec::with_capacity(12 + payload.len());
+        file.put_slice(&MAGIC);
+        file.put_u32_le(clusters.len() as u32);
+        file.put_u32_le(crc32(&payload));
+        file.extend_from_slice(&payload);
+        file
+    }
+
+    /// Plants `clusters` as a legacy row bucket in the store under `root`.
+    pub(crate) fn plant_row_bucket(
+        root: &Path,
+        level: ForestLevel,
+        bucket: u32,
+        clusters: &[AtypicalCluster],
+    ) -> PathBuf {
+        let path = root
+            .join("clusters")
+            .join(format!("{}-{bucket:05}.acf", level.prefix()));
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, encode_row_bucket(clusters)).unwrap();
+        path
+    }
 
     fn cluster(id: u64, base: u32, n: u32) -> AtypicalCluster {
         let sf: SpatialFeature = (base..base + n)
@@ -784,8 +722,7 @@ mod tests {
         let dir = ScratchDir::new("roundtrip");
         let clusters: Vec<AtypicalCluster> =
             (0..20).map(|i| cluster(i, (i as u32) * 3, 5)).collect();
-        let path = dir.join("x.acf");
-        write_clusters(&path, &clusters).unwrap();
+        let path = plant_row_bucket(&dir, ForestLevel::Day, 0, &clusters);
         let back = read_clusters(&path).unwrap();
         assert_eq!(clusters, back);
     }
@@ -793,16 +730,14 @@ mod tests {
     #[test]
     fn empty_set_roundtrips() {
         let dir = ScratchDir::new("empty");
-        let path = dir.join("x.acf");
-        write_clusters(&path, &[]).unwrap();
+        let path = plant_row_bucket(&dir, ForestLevel::Day, 0, &[]);
         assert!(read_clusters(&path).unwrap().is_empty());
     }
 
     #[test]
     fn corruption_is_detected() {
         let dir = ScratchDir::new("corrupt");
-        let path = dir.join("x.acf");
-        write_clusters(&path, &[cluster(1, 0, 4)]).unwrap();
+        let path = plant_row_bucket(&dir, ForestLevel::Day, 0, &[cluster(1, 0, 4)]);
         let mut raw = std::fs::read(&path).unwrap();
         let len = raw.len();
         raw[len - 3] ^= 0xFF;
@@ -814,10 +749,9 @@ mod tests {
     #[test]
     fn truncation_at_every_byte_boundary_is_a_corrupt_error() {
         let dir = ScratchDir::new("truncate");
-        let path = dir.join("x.acf");
         let clusters: Vec<AtypicalCluster> =
             (0..3).map(|i| cluster(i, (i as u32) * 4, 4)).collect();
-        write_clusters(&path, &clusters).unwrap();
+        let path = plant_row_bucket(&dir, ForestLevel::Day, 0, &clusters);
         let full = std::fs::read(&path).unwrap();
         assert!(full.len() > 12, "payload must be non-trivial");
         for len in 0..full.len() {
@@ -916,13 +850,12 @@ mod tests {
     fn row_and_columnar_backends_agree() {
         let dir_r = ScratchDir::new("diff-row");
         let dir_c = ScratchDir::new("diff-col");
-        let row = ForestStore::open_with_backend(&dir_r, Io::real(), StoreBackend::Row).unwrap();
-        let col =
-            ForestStore::open_with_backend(&dir_c, Io::real(), StoreBackend::Columnar).unwrap();
         let clusters: Vec<AtypicalCluster> = (0..50)
             .map(|i| cluster(i, ((i as u32) * 13) % 90, 3))
             .collect();
-        row.save(ForestLevel::Day, 0, &clusters).unwrap();
+        plant_row_bucket(&dir_r, ForestLevel::Day, 0, &clusters);
+        let row = ForestStore::open(&dir_r).unwrap();
+        let col = ForestStore::open(&dir_c).unwrap();
         col.save(ForestLevel::Day, 0, &clusters).unwrap();
         let from_row = row.load(ForestLevel::Day, 0).unwrap().unwrap();
         let from_col = col.load(ForestLevel::Day, 0).unwrap().unwrap();
@@ -947,10 +880,14 @@ mod tests {
                 .with_sensors((0..15).map(SensorId::new))
                 .with_severity_above(Severity::from_secs(100)),
         ];
-        for backend in [StoreBackend::Row, StoreBackend::Columnar] {
-            let dir = ScratchDir::new(&format!("filter-{}", backend.name()));
-            let store = ForestStore::open_with_backend(&dir, Io::real(), backend).unwrap();
-            store.save(ForestLevel::Day, 0, &clusters).unwrap();
+        for legacy_row in [true, false] {
+            let dir = ScratchDir::new("filter");
+            let store = ForestStore::open(&dir).unwrap();
+            if legacy_row {
+                plant_row_bucket(&dir, ForestLevel::Day, 0, &clusters);
+            } else {
+                store.save(ForestLevel::Day, 0, &clusters).unwrap();
+            }
             for pred in &preds {
                 let got = store
                     .load_filtered(ForestLevel::Day, 0, pred)
@@ -961,7 +898,7 @@ mod tests {
                     .filter(|c| cluster_matches(c, pred))
                     .cloned()
                     .collect();
-                assert_eq!(got.clusters, want, "{} {pred:?}", backend.name());
+                assert_eq!(got.clusters, want, "legacy_row={legacy_row} {pred:?}");
                 assert_eq!(got.total, clusters.len());
             }
         }
@@ -1019,40 +956,42 @@ mod tests {
 
     #[test]
     fn columnar_store_reads_legacy_row_buckets() {
+        // A copy of the checked-in legacy bucket, planted as day 7.
+        const FIXTURE: &[u8] =
+            include_bytes!("../../cps-testkit/tests/fixtures/legacy-row-day-00000.acf");
         let dir = ScratchDir::new("migrate");
-        let clusters: Vec<AtypicalCluster> = (0..12).map(|i| cluster(i, i as u32 * 2, 3)).collect();
-        // Write with the legacy row backend...
-        {
-            let old = ForestStore::open_with_backend(&dir, Io::real(), StoreBackend::Row).unwrap();
-            old.save(ForestLevel::Day, 7, &clusters).unwrap();
-        }
-        // ...reopen with the columnar default: the bucket must still
-        // resolve, load, and filter.
+        let row_path = dir.join("clusters").join("day-00007.acf");
+        std::fs::create_dir_all(row_path.parent().unwrap()).unwrap();
+        std::fs::write(&row_path, FIXTURE).unwrap();
+        let clusters = read_clusters(&row_path).unwrap();
+        assert!(!clusters.is_empty());
+        // The test-only row encoder reproduces the legacy bytes exactly.
+        assert_eq!(encode_row_bucket(&clusters), FIXTURE);
+
+        // The store must resolve, load, and filter the legacy bucket.
         let store = ForestStore::open(&dir).unwrap();
         assert!(store.contains(ForestLevel::Day, 7));
         assert_eq!(store.buckets(ForestLevel::Day).unwrap(), vec![7]);
         assert_eq!(store.load(ForestLevel::Day, 7).unwrap().unwrap(), clusters);
-        let pred = Predicate::all().with_sensors([SensorId::new(0)]);
+        let first = clusters[0].sf.keys().next().unwrap();
+        let pred = Predicate::all().with_sensors([first]);
         let filtered = store
             .load_filtered(ForestLevel::Day, 7, &pred)
             .unwrap()
             .unwrap();
-        assert_eq!(filtered.clusters.len(), 1);
-        // A save under the new backend migrates the bucket: the .acs file
-        // appears and the stale .acf twin is removed.
+        let want: Vec<AtypicalCluster> = clusters
+            .iter()
+            .filter(|c| cluster_matches(c, &pred))
+            .cloned()
+            .collect();
+        assert!(!want.is_empty());
+        assert_eq!(filtered.clusters, want);
+        // A save migrates the bucket: the .acs file appears and the stale
+        // .acf twin is removed.
         store.save(ForestLevel::Day, 7, &clusters).unwrap();
         assert!(store.bucket_path(ForestLevel::Day, 7).exists());
-        assert!(!dir.join("clusters").join("day-00007.acf").exists());
+        assert!(!row_path.exists());
         assert_eq!(store.load(ForestLevel::Day, 7).unwrap().unwrap(), clusters);
-    }
-
-    #[test]
-    fn backend_labels_roundtrip() {
-        for b in [StoreBackend::Row, StoreBackend::Columnar] {
-            assert_eq!(StoreBackend::parse(b.name()), Some(b));
-        }
-        assert_eq!(StoreBackend::parse("parquet"), None);
-        assert_eq!(StoreBackend::default(), StoreBackend::Columnar);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The reproduction harness: one module per figure of the paper's
 //! evaluation (§V). The `repro` binary drives them
-//! (`repro all`, `repro fig17`, …); Criterion benches under `benches/`
-//! cover the micro-level performance claims.
+//! (`repro all`, `repro fig17`, …). The monitor's performance is measured
+//! by the stand-alone benchmark under `bench/`, not here.
 //!
 //! | module | paper figure |
 //! |---|---|
@@ -20,9 +20,6 @@
 pub mod figs;
 pub mod forest_bench;
 pub mod integrate_bench;
-pub mod recovery_bench;
-pub mod segment_bench;
-pub mod serving_bench;
 pub mod table;
 pub mod workbench;
 

@@ -14,17 +14,13 @@
 //!   ablate           Red-zone and retrieval ablations
 //!   integrate        Naive vs indexed integration perf trajectory
 //!   forest           Parallel forest construction: thread sweep + bit-identity
-//!   monitor-recovery Durable monitor: WAL ingest tax + recovery vs suffix length
-//!   query-serving    Concurrent readers vs ingest: read-path matrix + cache hit rate
-//!   segment-scan     Columnar predicate pushdown vs naive full decode
-//!   all              Everything above (except the four benches)
+//!   all              Everything above (except the two perf sweeps)
 //!
 //! Options:
 //!   --scale <tiny|small|medium|paper>   deployment scale (default tiny)
 //!   --source <traffic|audit|infrastructure|battlefield>
-//!                                       event-source domain for the
-//!                                       `forest`/`monitor-recovery`/`query-serving`
-//!                                       benches (default traffic; the figure
+//!                                       event-source domain for the `forest`
+//!                                       sweep (default traffic; the figure
 //!                                       commands reproduce the paper's traffic
 //!                                       evaluation and reject other domains)
 //!   --seed <u64>                        generator seed (default 42)
@@ -32,16 +28,14 @@
 //!   --days <n>                          days per dataset (default 30)
 //!   --out <dir>                         results directory (default results/)
 //!   --sizes <n,n,...>                   `integrate` input sizes (default 1000,5000,20000)
-//!   --threads <n,n,...>                 `forest` thread sweep / `query-serving`
-//!                                       reader sweep (default 1,2,4,8)
+//!   --threads <n,n,...>                 `forest` thread sweep (default 1,2,4,8)
 //!   --iters <n>                         `integrate`/`forest` reps (default 3)
-//!   --max-records <n>                   `monitor-recovery`/`query-serving` feed cap
-//!                                       (default 0 = all)
-//!   --bench-out <file>                  bench artifact (default BENCH_integrate.json,
-//!                                       BENCH_forest.json, BENCH_recovery.json,
-//!                                       BENCH_query_serving.json, or
-//!                                       BENCH_segments.json by command)
+//!   --bench-out <file>                  sweep artifact (default BENCH_integrate.json
+//!                                       or BENCH_forest.json by command)
 //! ```
+//!
+//! The monitor's ingest, recovery and serving performance is measured by
+//! the stand-alone benchmark under `bench/` (see `bench/README.md`).
 
 use cps_bench::figs;
 use cps_bench::{ReproConfig, Table, Workbench};
@@ -60,7 +54,6 @@ struct Args {
     sizes: Vec<usize>,
     threads: Vec<usize>,
     iters: u32,
-    max_records: usize,
     bench_out: Option<String>,
 }
 
@@ -76,7 +69,6 @@ fn parse_args() -> Result<Args, String> {
         sizes: vec![1_000, 5_000, 20_000],
         threads: vec![1, 2, 4, 8],
         iters: 3,
-        max_records: 0,
         bench_out: None,
     };
     let mut it = std::env::args().skip(1);
@@ -126,9 +118,6 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--iters" => args.iters = grab("--iters")?.parse().map_err(|e| format!("{e}"))?,
-            "--max-records" => {
-                args.max_records = grab("--max-records")?.parse().map_err(|e| format!("{e}"))?
-            }
             "--bench-out" => args.bench_out = Some(grab("--bench-out")?),
             cmd if !cmd.starts_with('-') && args.command.is_empty() => {
                 args.command = cmd.to_string();
@@ -160,7 +149,7 @@ fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {e}\n\nusage: repro [--scale S] [--source D] [--seed N] [--datasets K] [--days N] [--out DIR] [--sizes N,N] [--threads N,N] [--iters N] [--max-records N] [--bench-out FILE] <settings|fig15|fig16|fig17|fig18|fig19|fig20|fig21|ablate|predict|context|integrate|forest|monitor-recovery|query-serving|segment-scan|all>");
+            eprintln!("error: {e}\n\nusage: repro [--scale S] [--source D] [--seed N] [--datasets K] [--days N] [--out DIR] [--sizes N,N] [--threads N,N] [--iters N] [--bench-out FILE] <settings|fig15|fig16|fig17|fig18|fig19|fig20|fig21|ablate|predict|context|integrate|forest|all>");
             return ExitCode::FAILURE;
         }
     };
@@ -202,89 +191,12 @@ fn main() -> ExitCode {
         eprintln!("wrote {}", path.display());
         return ExitCode::SUCCESS;
     }
-    if args.command == "monitor-recovery" {
-        let config = cps_bench::recovery_bench::RecoveryBenchConfig {
-            scale: args.scale,
-            source: args.source,
-            seed: args.seed,
-            // --days defaults to 30 for the dataset figures; a month of
-            // per-record WAL ingest is far past diminishing returns here,
-            // so the feed is capped at a week (bound it further with
-            // --max-records).
-            days: args.days.min(7),
-            iters: args.iters,
-            max_records: args.max_records,
-            ..cps_bench::recovery_bench::RecoveryBenchConfig::default()
-        };
-        let report = cps_bench::recovery_bench::run(&config);
-        let out = args.bench_out.as_deref().unwrap_or("BENCH_recovery.json");
-        let path = std::path::Path::new(out);
-        if let Err(e) = cps_bench::recovery_bench::save_json(&report, &config, path) {
-            eprintln!("error saving {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {}", path.display());
-        return ExitCode::SUCCESS;
-    }
-    if args.command == "query-serving" {
-        let config = cps_bench::serving_bench::ServingBenchConfig {
-            scale: args.scale,
-            source: args.source,
-            seed: args.seed,
-            // A month of feed keeps each cell's ingest long enough for
-            // readers to run a real closed loop against a growing
-            // sealed-day prefix; bound it with --days/--max-records for
-            // smoke runs.
-            days: args.days,
-            readers: args.threads.clone(),
-            iters: args.iters,
-            max_records: args.max_records,
-            ..cps_bench::serving_bench::ServingBenchConfig::default()
-        };
-        let report = cps_bench::serving_bench::run(&config);
-        let out = args
-            .bench_out
-            .as_deref()
-            .unwrap_or("BENCH_query_serving.json");
-        let path = std::path::Path::new(out);
-        if let Err(e) = cps_bench::serving_bench::save_json(&report, &config, path) {
-            eprintln!("error saving {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {}", path.display());
-        return ExitCode::SUCCESS;
-    }
-
-    if args.command == "segment-scan" {
-        let config = cps_bench::segment_bench::SegmentBenchConfig {
-            scale: args.scale,
-            source: args.source,
-            seed: args.seed,
-            // --days defaults to 30 for the dataset figures; two sealed
-            // weeks already give the guided trailing-week query segments
-            // to skip, so the sweep is capped there (bound it further
-            // with --days for smoke runs).
-            days: args.days.min(14),
-            iters: args.iters,
-            ..cps_bench::segment_bench::SegmentBenchConfig::default()
-        };
-        let report = cps_bench::segment_bench::run(&config);
-        let out = args.bench_out.as_deref().unwrap_or("BENCH_segments.json");
-        let path = std::path::Path::new(out);
-        if let Err(e) = cps_bench::segment_bench::save_json(&report, &config, path) {
-            eprintln!("error saving {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {}", path.display());
-        return ExitCode::SUCCESS;
-    }
-
     // The figure commands reproduce the paper's traffic evaluation; a
     // non-traffic --source would silently measure the wrong workload.
     if args.source != Domain::Traffic {
         eprintln!(
-            "error: --source {} only applies to the forest/monitor-recovery/query-serving \
-             benches; the figure commands are traffic-only",
+            "error: --source {} only applies to the forest sweep; the figure commands are \
+             traffic-only",
             args.source
         );
         return ExitCode::FAILURE;

@@ -12,8 +12,6 @@
 //!   (binary searched over the `δt` horizon) crossed with the network's
 //!   `δd` sensor neighbourhoods,
 //! * [`NaiveNeighbors`] — the `O(n)`-per-seed full scan,
-//! * [`AggregateRTree`] — a Papadias-style aggregate R-tree over per-sensor
-//!   severity, the related-work baseline for spatial range aggregation,
 //! * [`InvertedIndex`] — key → slot posting lists; the exact candidate
 //!   generator behind indexed cluster integration (`Sim` is zero whenever
 //!   no sensor and no window is shared, so non-candidates are provably
@@ -22,10 +20,8 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod argtree;
 pub mod inverted;
 pub mod st_index;
 
-pub use argtree::AggregateRTree;
 pub use inverted::InvertedIndex;
 pub use st_index::{NaiveNeighbors, NeighborSource, StIndex};

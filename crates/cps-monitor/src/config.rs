@@ -13,9 +13,7 @@
 //! parallelism = 0             # forest-snapshot workers: 0 = all cores,
 //!                             # 1 = sequential; output identical either way
 //! red_cell_miles = 2.0
-//! snapshot_dir = "/var/lib/cps-monitor"
-//! snapshot_backend = "columnar"   # or "row" (legacy day buckets); loads
-//!                                 # read either format regardless
+//! snapshot_dir = "/var/lib/cps-monitor"   # day buckets, written as columnar .acs
 //! rebalance_interval_records = 0  # adaptive shard rebalancing: records
 //!                                 # between load checks; 0 = off (default)
 //! rebalance_skew = 1.5            # rebalance when max/mean shard load
@@ -74,7 +72,6 @@
 //! cache = true                # false = recompute every query
 //! ```
 
-use atypical::store::StoreBackend;
 use cps_core::{Params, WindowSpec};
 use cps_sim::{Domain, SourceConfig};
 use std::collections::BTreeMap;
@@ -392,10 +389,6 @@ pub struct MonitorConfig {
     /// Where completed day buckets are persisted; `None` disables
     /// persistence.
     pub snapshot_dir: Option<PathBuf>,
-    /// On-disk format the snapshot store writes (columnar `.acs` segments
-    /// by default; `row` keeps the legacy `.acf` buckets). Reads accept
-    /// either format, so switching backends never strands old data.
-    pub snapshot_backend: StoreBackend,
     /// Adaptive shard rebalancing: ingest re-checks the observed
     /// per-shard load every this many records and migrates hot spatial
     /// slices between shards when the skew gate fires. `0` (the default)
@@ -430,7 +423,6 @@ impl Default for MonitorConfig {
             spec: WindowSpec::PEMS,
             red_cell_miles: 2.0,
             snapshot_dir: None,
-            snapshot_backend: StoreBackend::default(),
             rebalance_interval_records: 0,
             rebalance_skew: 1.5,
             replay: ReplayConfig::default(),
@@ -476,11 +468,6 @@ impl MonitorConfig {
                 "red_cell_miles" => config.red_cell_miles = value.as_f64(key)?,
                 "snapshot_dir" => {
                     config.snapshot_dir = Some(PathBuf::from(value.as_str(key)?));
-                }
-                "snapshot_backend" => {
-                    let name = value.as_str(key)?;
-                    config.snapshot_backend = StoreBackend::parse(name)
-                        .ok_or_else(|| format!("snapshot_backend: unknown backend {name:?}"))?;
                 }
                 "rebalance_interval_records" => {
                     config.rebalance_interval_records = value.as_usize(key)? as u64;
@@ -605,11 +592,6 @@ impl MonitorConfig {
         if let Some(dir) = &self.snapshot_dir {
             let _ = writeln!(out, "snapshot_dir = \"{}\"", dir.display());
         }
-        let _ = writeln!(
-            out,
-            "snapshot_backend = \"{}\"",
-            self.snapshot_backend.name()
-        );
         let _ = writeln!(
             out,
             "rebalance_interval_records = {}",
@@ -1148,26 +1130,11 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_backend_parses_and_defaults_columnar() {
-        assert_eq!(
-            MonitorConfig::default().snapshot_backend,
-            StoreBackend::Columnar
-        );
-        let row = MonitorConfig::from_toml_str("snapshot_backend = \"row\"").unwrap();
-        assert_eq!(row.snapshot_backend, StoreBackend::Row);
-        let col = MonitorConfig::from_toml_str("snapshot_backend = \"columnar\"").unwrap();
-        assert_eq!(col.snapshot_backend, StoreBackend::Columnar);
-        let err = MonitorConfig::from_toml_str("snapshot_backend = \"parquet\"").unwrap_err();
-        assert!(err.contains("snapshot_backend"), "{err}");
-    }
-
-    #[test]
     fn toml_roundtrip_preserves_config() {
         let mut config = MonitorConfig {
             shards: 3,
             overflow: OverflowPolicy::Drop,
             snapshot_dir: Some(PathBuf::from("/tmp/snap")),
-            snapshot_backend: StoreBackend::Row,
             ..MonitorConfig::default()
         };
         config.durability.wal_dir = Some(PathBuf::from("/tmp/wal"));
@@ -1193,7 +1160,6 @@ mod tests {
         assert_eq!(reparsed.admission, config.admission);
         assert_eq!(reparsed.overflow, config.overflow);
         assert_eq!(reparsed.snapshot_dir, config.snapshot_dir);
-        assert_eq!(reparsed.snapshot_backend, config.snapshot_backend);
         assert_eq!(reparsed.durability, config.durability);
         assert_eq!(reparsed.serving, config.serving);
         assert_eq!(reparsed.replay, config.replay);

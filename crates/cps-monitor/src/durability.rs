@@ -70,6 +70,7 @@ use bytes::{Buf, BufMut};
 use cps_core::{AtypicalRecord, CpsError, RecordBatch, Result, Severity, TimeWindow};
 use cps_storage::crc::crc32;
 use cps_storage::format::{decode_atypical, encode_atypical, RECORD_SIZE};
+use cps_storage::wal::read_wal;
 use cps_storage::Io;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -274,6 +275,24 @@ pub fn decode_entry(payload: &[u8]) -> Result<WalEntry> {
 /// One shard's WAL directory under the monitor's `wal_dir`.
 pub fn shard_wal_dir(wal_dir: &Path, shard: usize) -> PathBuf {
     wal_dir.join(format!("shard-{shard}"))
+}
+
+/// Reads one shard's log: every entry past `base_seq`, in `seq` order,
+/// plus whether the last segment ends in a torn frame. Repairing that
+/// tail is the caller's call — recovery owns the log and repairs it; a
+/// respawn must not, because the live writer owns the segment.
+pub fn read_wal_suffix(io: &Io, dir: &Path, base_seq: u64) -> Result<(Vec<WalEntry>, bool)> {
+    let segments = read_wal(io, dir)?;
+    let torn = segments.last().is_some_and(|s| s.torn);
+    let mut entries = Vec::new();
+    for payload in segments.iter().flat_map(|s| &s.entries) {
+        let entry = decode_entry(payload)?;
+        if entry.seq > base_seq {
+            entries.push(entry);
+        }
+    }
+    entries.sort_by_key(|e| e.seq);
+    Ok((entries, torn))
 }
 
 /// Path of the checkpoint document.
@@ -718,6 +737,7 @@ mod tests {
     use super::*;
     use atypical::feature::{SpatialFeature, TemporalFeature};
     use cps_core::{ClusterId, ScratchDir, SensorId};
+    use cps_storage::wal::{SyncPolicy, WalWriter};
 
     fn rec(s: u32, w: u32, secs: u64) -> AtypicalRecord {
         AtypicalRecord::new(
@@ -859,6 +879,35 @@ mod tests {
             },
         );
         assert!(decode_entry(&reb[..reb.len() - 2]).is_err());
+    }
+
+    #[test]
+    fn wal_suffix_keeps_entries_past_the_base_and_reports_a_torn_tail() {
+        let dir = ScratchDir::new("wal-suffix");
+        let io = Io::real();
+        let mut wal = WalWriter::open(io.clone(), &dir, SyncPolicy::Never, 1 << 20).unwrap();
+        for seq in 1..=4u32 {
+            let op = WalOp::Advance(TimeWindow::new(seq));
+            wal.append(&encode_entry(u64::from(seq), &op)).unwrap();
+        }
+        drop(wal);
+        let (entries, torn) = read_wal_suffix(&io, &dir, 2).unwrap();
+        assert_eq!(entries.iter().map(|e| e.seq).collect::<Vec<_>>(), [3, 4]);
+        assert!(!torn);
+        // A torn frame sets the flag and is left on disk for the caller.
+        let segment = std::fs::read_dir(&*dir)
+            .unwrap()
+            .next()
+            .unwrap()
+            .unwrap()
+            .path();
+        let mut raw = std::fs::read(&segment).unwrap();
+        raw.extend_from_slice(&[9, 0, 0]);
+        std::fs::write(&segment, &raw).unwrap();
+        let (entries, torn) = read_wal_suffix(&io, &dir, 2).unwrap();
+        assert_eq!(entries.len(), 2);
+        assert!(torn);
+        assert_eq!(std::fs::read(&segment).unwrap(), raw);
     }
 
     fn sample_doc() -> CheckpointDoc {

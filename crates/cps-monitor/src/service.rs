@@ -68,7 +68,7 @@ use crate::config::{
     ServingConfig,
 };
 use crate::durability::{
-    checkpoint_path, decode_entry, encode_batch_entry, encode_entry, load_checkpoint,
+    checkpoint_path, encode_batch_entry, encode_entry, load_checkpoint, read_wal_suffix,
     shard_wal_dir, write_checkpoint, CheckpointDoc, ShardCkpt, WalOp,
 };
 use crate::error::MonitorError;
@@ -84,7 +84,7 @@ use cps_geo::RoadNetwork;
 use cps_index::st_index::max_gap_windows;
 pub use cps_serve::GuidedQuery;
 use cps_serve::{ReadView, ServeContext, ServeHandle, ServeState};
-use cps_storage::wal::{read_wal, repair_tail, truncate_segments_below, SyncPolicy, WalWriter};
+use cps_storage::wal::{repair_tail, truncate_segments_below, SyncPolicy, WalWriter};
 use cps_storage::{Io, RetryIo};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use std::collections::HashSet;
@@ -563,29 +563,21 @@ impl MonitorService {
             ));
         }
 
-        // Read every shard's log: repair a torn tail (only the last
-        // segment may legally hold one), decode, and keep the suffix past
-        // the checkpoint. The global sequence numbers interleave the
-        // per-shard logs back into the exact ingest send order.
+        // Read every shard's suffix past the checkpoint and repair a torn
+        // tail (only the last segment may legally hold one). The global
+        // sequence numbers interleave the per-shard logs back into the
+        // exact ingest send order.
         let mut entries = Vec::new();
         let mut repaired_tails = 0usize;
         for shard in 0..config.shards {
             let dir = shard_wal_dir(&wal_dir, shard);
-            let segments =
-                read_wal(&io, &dir).map_err(|e| format!("reading shard {shard} WAL: {e}"))?;
-            if segments.last().is_some_and(|s| s.torn) {
+            let (suffix, torn) = read_wal_suffix(&io, &dir, base.last_seq)
+                .map_err(|e| format!("reading shard {shard} WAL: {e}"))?;
+            if torn {
                 repaired_tails += 1;
                 repair_tail(&io, &dir).map_err(|e| format!("repairing shard {shard} WAL: {e}"))?;
             }
-            for segment in segments {
-                for payload in segment.entries {
-                    let entry = decode_entry(&payload)
-                        .map_err(|e| format!("decoding shard {shard} WAL entry: {e}"))?;
-                    if entry.seq > base.last_seq {
-                        entries.push((shard, entry));
-                    }
-                }
-            }
+            entries.extend(suffix.into_iter().map(|e| (shard, e)));
         }
         entries.sort_by_key(|(_, e)| e.seq);
         // New appends must clear every sequence number on disk — including
@@ -884,8 +876,7 @@ impl MonitorService {
             Arc::new(UniformGrid::over(network, config.red_cell_miles).partition(network));
         let store = match &config.snapshot_dir {
             Some(dir) => Some(Arc::new(
-                ForestStore::open_with_backend(dir, io.clone(), config.snapshot_backend)
-                    .map_err(|e| e.to_string())?,
+                ForestStore::open_with(dir, io.clone()).map_err(|e| e.to_string())?,
             )),
             None => None,
         };
@@ -1529,17 +1520,9 @@ impl MonitorService {
             shard: Some(shard),
             detail,
         };
-        let segments = read_wal(&self.io, &dir).map_err(|e| wal_err(e.to_string()))?;
-        let mut entries = Vec::new();
-        for segment in segments {
-            for payload in segment.entries {
-                let entry = decode_entry(&payload).map_err(|e| wal_err(e.to_string()))?;
-                if entry.seq > base_seq {
-                    entries.push(entry);
-                }
-            }
-        }
-        entries.sort_by_key(|e| e.seq);
+        // The torn flag is ignored: the live writer owns the tail segment.
+        let (entries, _torn) =
+            read_wal_suffix(&self.io, &dir, base_seq).map_err(|e| wal_err(e.to_string()))?;
 
         // Replay on the ingest thread. The regenerated sealed events are a
         // prefix-extension of what the dead worker sent: suppress the ones

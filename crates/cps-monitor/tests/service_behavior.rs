@@ -145,3 +145,19 @@ fn removed_integration_key_is_an_unknown_key() {
         "must be the plain unknown-key error"
     );
 }
+
+/// The snapshot store always writes columnar segments; the TOML key that
+/// used to select the legacy row writer is gone, so a file still setting
+/// it is rejected like any other unknown key.
+#[test]
+fn removed_snapshot_backend_key_is_an_unknown_key() {
+    for value in ["\"row\"", "\"columnar\""] {
+        let err = MonitorConfig::from_toml_str(&format!("snapshot_backend = {value}")).unwrap_err();
+        let unknown = MonitorConfig::from_toml_str("mystery_key = 1").unwrap_err();
+        assert_eq!(
+            err.replace("snapshot_backend", "mystery_key"),
+            unknown,
+            "must be the plain unknown-key error"
+        );
+    }
+}

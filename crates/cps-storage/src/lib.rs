@@ -14,8 +14,6 @@
 //! * [`iostats`] — shared atomic I/O counters; the paper reports query I/O
 //!   as *number of input clusters* and construction cost as scan volume, so
 //!   every read path is accounted,
-//! * [`cache`] — a block LRU so repeated scans of hot partitions (the online
-//!   query experiments) do not re-hit the filesystem,
 //! * [`segment`] — columnar, zone-mapped segment containers with per-chunk
 //!   CRCs and predicate pushdown; the cold path skips whole chunks and
 //!   segments without decoding them,
@@ -29,7 +27,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod cache;
 pub mod crc;
 pub mod format;
 pub mod io;

@@ -31,12 +31,13 @@
 //! * [`check_serve_paths`] — at quiescence the pinned read view and the
 //!   cached serve handle answer every whole-day query exactly like the
 //!   batch recomputation of [`reference_guided`];
-//! * [`check_storage_backend_equivalence`] — the storage-backend axis:
-//!   persisting the domain's forest through the row and the columnar
-//!   [`ForestStore`](atypical::store::ForestStore) backends yields
-//!   byte-identical day leaves, byte-identical stored query results for
-//!   every strategy (so predicate pushdown can never change an answer),
-//!   full guided recall, and the same cube==feed==forest severity total.
+//! * [`check_stored_equivalence`] — the storage axis: persisting the
+//!   domain's forest through the
+//!   [`ForestStore`](atypical::store::ForestStore) yields byte-identical
+//!   day leaves, stored query results feature-identical to the in-memory
+//!   engine for every strategy (so predicate pushdown can never change an
+//!   answer), full guided recall, and the same cube==feed==forest
+//!   severity total.
 //!
 //! A new domain gets all of this for free: implement [`Source`], add
 //! the [`Domain`] variant, and the suite picks it up from
@@ -584,17 +585,16 @@ pub fn check_serve_paths(case: &ConformanceCase) {
     );
 }
 
-/// Storage-backend axis: the domain's forest, persisted through the row
-/// and the columnar [`ForestStore`] backends, reloads byte-identically;
-/// stored query execution (`All`/`Pru`/`Gui`, with predicate pushdown on
-/// the columnar side) returns byte-identical results on both backends
-/// and feature-identical results to the in-memory engine; the guided
-/// strategy keeps full recall; and the cube's grand total still equals
-/// the severity sum of the *reloaded* day leaves.
-pub fn check_storage_backend_equivalence(case: &ConformanceCase) {
-    use atypical::store::{ForestStore, StoreBackend};
+/// Storage axis: the domain's forest, persisted through the
+/// [`ForestStore`], reloads byte-identically; stored query execution
+/// (`All`/`Pru`/`Gui`, with predicate pushdown) returns feature-identical
+/// results to the in-memory engine, and the unselective `All` control
+/// skips nothing; the guided strategy keeps full recall; and the cube's
+/// grand total still equals the severity sum of the *reloaded* day
+/// leaves.
+pub fn check_stored_equivalence(case: &ConformanceCase) {
+    use atypical::store::ForestStore;
     use atypical::QUERY_ID_BASE;
-    use cps_storage::Io;
 
     let network = case.source.network();
     let spec = case.source.config().spec;
@@ -614,90 +614,74 @@ pub fn check_storage_backend_equivalence(case: &ConformanceCase) {
         .map(|&s| engine.execute(&mut forest, &query, s))
         .collect();
 
-    let mut per_backend = Vec::new();
-    for backend in [StoreBackend::Row, StoreBackend::Columnar] {
-        let dir = temp_dir(&format!("conformance-{}-{}", case.domain, backend.name()));
-        let store = ForestStore::open_with_backend(&dir, Io::real(), backend).expect("store opens");
-        store.save_forest_days(&forest).expect("forest persists");
+    let dir = temp_dir(&format!("conformance-{}", case.domain));
+    let store = ForestStore::open(&dir).expect("store opens");
+    store.save_forest_days(&forest).expect("forest persists");
 
-        // Reload: every day leaf is byte-identical to the in-memory
-        // forest, and the cube==feed==forest total survives the disk
-        // round-trip.
-        let reloaded = store.load_forest(spec, params).expect("forest reloads");
-        let mut stored_total = Severity::ZERO;
-        for day in 0..case.days {
-            assert_eq!(
-                reloaded.day(day),
-                forest.day(day),
-                "{} {}: day {day} leaves diverged after reload",
-                case.domain,
-                backend.name()
-            );
-            stored_total += forest
-                .day(day)
-                .iter()
-                .map(|c| c.severity())
-                .sum::<Severity>();
-        }
+    // Reload: every day leaf is byte-identical to the in-memory forest,
+    // and the cube==feed==forest total survives the disk round-trip.
+    let reloaded = store.load_forest(spec, params).expect("forest reloads");
+    let mut stored_total = Severity::ZERO;
+    for day in 0..case.days {
         assert_eq!(
-            stored_total,
-            feed_total,
-            "{} {}: stored forest total diverged from the feed",
-            case.domain,
-            backend.name()
-        );
-
-        let results: Vec<_> = strategies
-            .iter()
-            .map(|&s| {
-                let mut ids = ClusterIdGen::new(QUERY_ID_BASE);
-                engine
-                    .execute_stored(&store, spec, &query, s, &mut ids)
-                    .expect("stored query")
-            })
-            .collect();
-        for (stored, mem) in results.iter().zip(&mem) {
-            let tag = format!("{} {} {:?}", case.domain, backend.name(), stored.strategy);
-            assert_eq!(stored.candidate_clusters, mem.candidate_clusters, "{tag}");
-            assert_eq!(stored.input_clusters, mem.input_clusters, "{tag}");
-            assert_eq!(stored.num_red_regions, mem.num_red_regions, "{tag}");
-            assert_eq!(stored.threshold, mem.threshold, "{tag}");
-            assert_eq!(stored.macros.len(), mem.macros.len(), "{tag}");
-            for (s, m) in stored.macros.iter().zip(&mem.macros) {
-                assert_eq!((&s.sf, &s.tf), (&m.sf, &m.tf), "{tag}");
-            }
-        }
-
-        // Properties 4–5 hold through storage: stored Gui loses nothing
-        // stored All finds.
-        let truth: Vec<AtypicalCluster> = results[0].significant().into_iter().cloned().collect();
-        let truth_refs: Vec<&AtypicalCluster> = truth.iter().collect();
-        let pr = evaluate(&results[2], &truth_refs);
-        assert_eq!(
-            pr.recall,
-            1.0,
-            "{} {}: stored Gui lost a significant cluster",
-            case.domain,
-            backend.name()
-        );
-
-        per_backend.push(results);
-    }
-
-    // Byte-identical across backends — macro ids included, since both
-    // sides draw from a fresh QUERY_ID_BASE generator.
-    let (row, col) = (&per_backend[0], &per_backend[1]);
-    for (r, c) in row.iter().zip(col.iter()) {
-        assert_eq!(
-            r.macros, c.macros,
-            "{} {:?}: row and columnar stored queries diverged",
-            case.domain, r.strategy
-        );
-        assert_eq!(
-            r.candidate_clusters, c.candidate_clusters,
-            "{}",
+            reloaded.day(day),
+            forest.day(day),
+            "{}: day {day} leaves diverged after reload",
             case.domain
         );
-        assert_eq!(r.input_clusters, c.input_clusters, "{}", case.domain);
+        stored_total += forest
+            .day(day)
+            .iter()
+            .map(|c| c.severity())
+            .sum::<Severity>();
     }
+    assert_eq!(
+        stored_total, feed_total,
+        "{}: stored forest total diverged from the feed",
+        case.domain
+    );
+
+    let results: Vec<_> = strategies
+        .iter()
+        .map(|&s| {
+            let before = store.io_stats();
+            let mut ids = ClusterIdGen::new(QUERY_ID_BASE);
+            let result = engine
+                .execute_stored(&store, spec, &query, s, &mut ids)
+                .expect("stored query");
+            (result, store.io_stats().since(before))
+        })
+        .collect();
+    for ((stored, _), mem) in results.iter().zip(&mem) {
+        let tag = format!("{} {:?}", case.domain, stored.strategy);
+        assert_eq!(stored.candidate_clusters, mem.candidate_clusters, "{tag}");
+        assert_eq!(stored.input_clusters, mem.input_clusters, "{tag}");
+        assert_eq!(stored.num_red_regions, mem.num_red_regions, "{tag}");
+        assert_eq!(stored.threshold, mem.threshold, "{tag}");
+        assert_eq!(stored.macros.len(), mem.macros.len(), "{tag}");
+        for (s, m) in stored.macros.iter().zip(&mem.macros) {
+            assert_eq!((&s.sf, &s.tf), (&m.sf, &m.tf), "{tag}");
+        }
+    }
+
+    // The unselective control: `All` pushes no predicate down, so it
+    // decodes every segment and chunk it opens.
+    let all_io = &results[0].1;
+    assert_eq!(
+        (all_io.segments_skipped, all_io.chunks_skipped),
+        (0, 0),
+        "{}: the All strategy skipped stored data",
+        case.domain
+    );
+
+    // Properties 4–5 hold through storage: stored Gui loses nothing
+    // stored All finds.
+    let truth: Vec<AtypicalCluster> = results[0].0.significant().into_iter().cloned().collect();
+    let truth_refs: Vec<&AtypicalCluster> = truth.iter().collect();
+    let pr = evaluate(&results[2].0, &truth_refs);
+    assert_eq!(
+        pr.recall, 1.0,
+        "{}: stored Gui lost a significant cluster",
+        case.domain
+    );
 }

@@ -269,6 +269,11 @@ fn deadline_overrun_is_bounded_by_one_storage_read() {
             "a zero-budget answer must be immediate, not a hang"
         );
         assert_eq!(zero.epoch, serve.epoch(), "degraded stamp still verified");
+        let zero_sig = serve
+            .significant_clusters_deadline(0, DAYS, Duration::ZERO)
+            .expect("zero-budget query");
+        assert!(zero_sig.degraded);
+        assert_eq!(zero_sig.days_omitted, (0..DAYS).collect::<Vec<_>>());
 
         // Slow disk: the next storage read stalls 40ms against a 5ms
         // budget. The read already in flight completes (day 0 served);
@@ -296,7 +301,10 @@ fn deadline_overrun_is_bounded_by_one_storage_read() {
         );
 
         let (degraded, overruns) = serve.degrade_stats();
-        assert!(degraded >= 2, "zero-budget and slow-disk queries degraded");
+        assert_eq!(
+            degraded, 3,
+            "exactly the two zero-budget queries and the slow-disk one degraded"
+        );
         assert!(overruns >= 1, "the slow-disk query overran its budget");
     });
 }

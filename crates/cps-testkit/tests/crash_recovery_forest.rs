@@ -3,10 +3,9 @@
 //! assert the store either reports a typed corruption error or recovers a
 //! prefix of day buckets whose clusters equal the clean run's prefix.
 //!
-//! Every sweep runs on **both storage backends** — the legacy row `.acf`
-//! buckets and the columnar zone-mapped `.acs` segments — since the two
-//! commit protocols issue different write sequences and each must be
-//! crash-safe at every boundary of its own sequence.
+//! The store writes columnar zone-mapped `.acs` segments (the legacy row
+//! `.acf` format is read-only), so the sweeps cover the segment commit
+//! protocol at every boundary of its write sequence.
 //!
 //! Three exhaustive sweeps:
 //!
@@ -19,7 +18,7 @@
 //!   commit rename: the visible file is truncated, and the store must
 //!   report a typed `Corrupt` error, never silently return wrong clusters.
 
-use atypical::store::{ForestLevel, ForestStore, StoreBackend};
+use atypical::store::{ForestLevel, ForestStore};
 use atypical::AtypicalCluster;
 use cps_core::CpsError;
 use cps_storage::Io;
@@ -28,7 +27,6 @@ use cps_testkit::{canonicalize, Canonical, CrashPlan, DurabilityMode, FaultIo, O
 use std::path::Path;
 
 const DAYS: u32 = 3;
-const BACKENDS: [StoreBackend; 2] = [StoreBackend::Row, StoreBackend::Columnar];
 
 fn day_buckets(seed: u64) -> Vec<Vec<AtypicalCluster>> {
     (0..DAYS)
@@ -38,13 +36,8 @@ fn day_buckets(seed: u64) -> Vec<Vec<AtypicalCluster>> {
 
 /// The workload under test: open a store, persist each day in order —
 /// exactly what the monitor's merger does as days complete.
-fn run_workload(
-    io: &Io,
-    root: &Path,
-    backend: StoreBackend,
-    days: &[Vec<AtypicalCluster>],
-) -> cps_core::Result<()> {
-    let store = ForestStore::open_with_backend(root, io.clone(), backend)?;
+fn run_workload(io: &Io, root: &Path, days: &[Vec<AtypicalCluster>]) -> cps_core::Result<()> {
+    let store = ForestStore::open_with(root, io.clone())?;
     for (d, clusters) in days.iter().enumerate() {
         store.save(ForestLevel::Day, d as u32, clusters)?;
     }
@@ -55,8 +48,6 @@ fn run_workload(
 /// recovery contract: every loadable day equals the clean run's bucket,
 /// failures are typed, and the recovered days form a prefix (days were
 /// written in order, so nothing later may survive an earlier loss).
-/// The reopen always uses the default (columnar) store, which resolves
-/// buckets of either format — exactly what a post-crash restart does.
 fn check_recovery(root: &Path, clean: &[Vec<Canonical>], context: &str) {
     let store = ForestStore::open(root).expect("reopen after crash");
     let mut recovered = Vec::new();
@@ -84,64 +75,58 @@ fn check_recovery(root: &Path, clean: &[Vec<Canonical>], context: &str) {
 
 #[test]
 fn crash_at_every_op_recovers_a_clean_prefix() {
-    for backend in BACKENDS {
-        let days = day_buckets(0xC0);
-        let clean: Vec<Vec<Canonical>> = days.iter().map(|c| canonicalize(c)).collect();
+    let days = day_buckets(0xC0);
+    let clean: Vec<Vec<Canonical>> = days.iter().map(|c| canonicalize(c)).collect();
 
-        let plan = CrashPlan::record(|io| {
-            run_workload(io, &temp_dir("crash-clean"), backend, &days).expect("clean run");
-        });
-        assert!(plan.len() > 10, "workload too small to be interesting");
+    let plan = CrashPlan::record(|io| {
+        run_workload(io, &temp_dir("crash-clean"), &days).expect("clean run");
+    });
+    assert!(plan.len() > 10, "workload too small to be interesting");
 
-        for case in plan.crash_cases() {
-            let root = temp_dir("crash-case");
-            run_workload(&case.fault.io(), &root, backend, &days)
-                .expect_err("a crash fault must abort the workload");
-            case.fault
-                .simulate_crash()
-                .expect("materialize crash state");
-            check_recovery(&root, &clean, &format!("{} {}", backend.name(), case.label));
-        }
+    for case in plan.crash_cases() {
+        let root = temp_dir("crash-case");
+        run_workload(&case.fault.io(), &root, &days)
+            .expect_err("a crash fault must abort the workload");
+        case.fault
+            .simulate_crash()
+            .expect("materialize crash state");
+        check_recovery(&root, &clean, &case.label);
     }
 }
 
 #[test]
 fn torn_write_at_every_byte_recovers_a_clean_prefix() {
-    for backend in BACKENDS {
-        let days = day_buckets(0xB0);
-        let clean: Vec<Vec<Canonical>> = days.iter().map(|c| canonicalize(c)).collect();
+    let days = day_buckets(0xB0);
+    let clean: Vec<Vec<Canonical>> = days.iter().map(|c| canonicalize(c)).collect();
 
-        let plan = CrashPlan::record(|io| {
-            run_workload(io, &temp_dir("torn-clean"), backend, &days).expect("clean run");
-        });
-        let expected_cases: u64 = plan
-            .ops()
-            .iter()
-            .filter_map(|op| match op.op {
-                OpKind::Write { len } => Some(len as u64),
-                _ => None,
-            })
-            .sum();
-        assert!(expected_cases > 0);
+    let plan = CrashPlan::record(|io| {
+        run_workload(io, &temp_dir("torn-clean"), &days).expect("clean run");
+    });
+    let expected_cases: u64 = plan
+        .ops()
+        .iter()
+        .filter_map(|op| match op.op {
+            OpKind::Write { len } => Some(len as u64),
+            _ => None,
+        })
+        .sum();
+    assert!(expected_cases > 0);
 
-        let mut cases = 0u64;
-        for case in plan.torn_cases(|_| true) {
-            let root = temp_dir("torn-case");
-            run_workload(&case.fault.io(), &root, backend, &days)
-                .expect_err("a torn write must abort the workload");
-            case.fault
-                .simulate_crash()
-                .expect("materialize crash state");
-            check_recovery(&root, &clean, &format!("{} {}", backend.name(), case.label));
-            cases += 1;
-        }
-        assert_eq!(
-            cases,
-            expected_cases,
-            "{}: sweep must cover every byte of every write",
-            backend.name()
-        );
+    let mut cases = 0u64;
+    for case in plan.torn_cases(|_| true) {
+        let root = temp_dir("torn-case");
+        run_workload(&case.fault.io(), &root, &days)
+            .expect_err("a torn write must abort the workload");
+        case.fault
+            .simulate_crash()
+            .expect("materialize crash state");
+        check_recovery(&root, &clean, &case.label);
+        cases += 1;
     }
+    assert_eq!(
+        cases, expected_cases,
+        "sweep must cover every byte of every write"
+    );
 }
 
 #[test]
@@ -152,57 +137,44 @@ fn lying_fsync_at_every_durable_length_is_detected() {
     // Corrupt error on load — this is the only sweep where a corrupt
     // visible file is reachable at all, since honest-sync crashes always
     // leave buckets absent-or-complete (the two sweeps above).
-    for backend in BACKENDS {
-        let clusters = random_clusters(0xF5, 5, 4);
-        let clean = canonicalize(&clusters);
+    let clusters = random_clusters(0xF5, 5, 4);
+    let clean = canonicalize(&clusters);
 
-        let probe_root = temp_dir("lying-clean");
-        run_workload(
-            &FaultIo::new().io(),
-            &probe_root,
-            backend,
-            std::slice::from_ref(&clusters),
-        )
-        .expect("clean run");
-        let bucket = ForestStore::open_with_backend(&probe_root, Io::real(), backend)
-            .expect("reopen")
-            .bucket_path(ForestLevel::Day, 0);
-        let full_len = std::fs::metadata(&bucket).expect("bucket written").len();
-        assert!(full_len > 12, "bucket must have header + payload");
+    let probe_root = temp_dir("lying-clean");
+    run_workload(
+        &FaultIo::new().io(),
+        &probe_root,
+        std::slice::from_ref(&clusters),
+    )
+    .expect("clean run");
+    let bucket = ForestStore::open(&probe_root)
+        .expect("reopen")
+        .bucket_path(ForestLevel::Day, 0);
+    let full_len = std::fs::metadata(&bucket).expect("bucket written").len();
+    assert!(full_len > 12, "bucket must have header + payload");
 
-        for cap in 0..=full_len {
-            let root = temp_dir("lying-case");
-            let fault = FaultIo::new();
-            fault.set_mode(DurabilityMode::CappedSync { cap });
-            run_workload(&fault.io(), &root, backend, std::slice::from_ref(&clusters))
-                .expect("the lying backend reports success");
-            fault.simulate_crash().expect("materialize crash state");
+    for cap in 0..=full_len {
+        let root = temp_dir("lying-case");
+        let fault = FaultIo::new();
+        fault.set_mode(DurabilityMode::CappedSync { cap });
+        run_workload(&fault.io(), &root, std::slice::from_ref(&clusters))
+            .expect("the lying backend reports success");
+        fault.simulate_crash().expect("materialize crash state");
 
-            let store = ForestStore::open(&root).expect("reopen after crash");
-            match store.load(ForestLevel::Day, 0) {
-                Ok(Some(recovered)) => {
-                    assert_eq!(
-                        cap,
-                        full_len,
-                        "{}: cap {cap} < {full_len} must not load successfully",
-                        backend.name()
-                    );
-                    assert_eq!(canonicalize(&recovered), clean);
-                }
-                Err(CpsError::Corrupt { .. }) => {
-                    assert_ne!(
-                        cap,
-                        full_len,
-                        "{}: fully durable bucket must load",
-                        backend.name()
-                    );
-                }
-                Ok(None) => panic!(
-                    "{}: cap {cap}: renamed bucket cannot be absent",
-                    backend.name()
-                ),
-                Err(other) => panic!("{}: cap {cap}: untyped failure {other:?}", backend.name()),
+        let store = ForestStore::open(&root).expect("reopen after crash");
+        match store.load(ForestLevel::Day, 0) {
+            Ok(Some(recovered)) => {
+                assert_eq!(
+                    cap, full_len,
+                    "cap {cap} < {full_len} must not load successfully"
+                );
+                assert_eq!(canonicalize(&recovered), clean);
             }
+            Err(CpsError::Corrupt { .. }) => {
+                assert_ne!(cap, full_len, "fully durable bucket must load");
+            }
+            Ok(None) => panic!("cap {cap}: renamed bucket cannot be absent"),
+            Err(other) => panic!("cap {cap}: untyped failure {other:?}"),
         }
     }
 }

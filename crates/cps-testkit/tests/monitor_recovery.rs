@@ -714,6 +714,9 @@ fn start_refuses_a_dirty_wal_dir() {
     let (service, report) =
         MonitorService::recover(&cfg, fx.network.clone()).expect("recovery succeeds");
     assert_eq!(report.resume_from, 20);
+    // Checkpoints are off, so the whole log replays.
+    assert!(!report.had_checkpoint);
+    assert_eq!(report.replayed_records, 20);
     service.finish();
 }
 

@@ -3,9 +3,9 @@
 //! whole file — header, zone-map directory, and every column chunk — and
 //! assert the reader returns a typed error (`Corrupt`, or
 //! `VersionMismatch` for the version word) and never panics or returns
-//! wrong data. Mirrors the PR-2 row-bucket sweeps on the new format.
+//! wrong data. Mirrors the legacy row-bucket sweeps on the columnar format.
 
-use atypical::store::{ForestLevel, ForestStore, StoreBackend, CLUSTERS_PER_CHUNK};
+use atypical::store::{ForestLevel, ForestStore, CLUSTERS_PER_CHUNK};
 use cps_core::{CpsError, ScratchDir, SensorId};
 use cps_storage::{Io, Predicate};
 use cps_testkit::fixtures::{random_clusters, temp_dir};
@@ -14,8 +14,7 @@ use cps_testkit::fixtures::{random_clusters, temp_dir};
 /// the store, the segment path, and its clean bytes.
 fn representative_segment(tag: &str) -> (ScratchDir, ForestStore, std::path::PathBuf, Vec<u8>) {
     let dir = temp_dir(tag);
-    let store = ForestStore::open_with_backend(&dir, Io::real(), StoreBackend::Columnar)
-        .expect("store opens");
+    let store = ForestStore::open_with(&dir, Io::real()).expect("store opens");
     let clusters = random_clusters(0x5E6, 3 * CLUSTERS_PER_CHUNK, 5);
     store.save(ForestLevel::Day, 0, &clusters).expect("save");
     let path = store.bucket_path(ForestLevel::Day, 0);

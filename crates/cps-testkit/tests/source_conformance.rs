@@ -9,7 +9,7 @@
 use cps_testkit::conformance::{
     check_batched_ingest, check_cube_vs_clusters, check_day_determinism, check_guided_query,
     check_indexed_vs_naive, check_parallel_bit_identity, check_partition_merge, check_serve_paths,
-    check_storage_backend_equivalence, registry,
+    check_stored_equivalence, registry,
 };
 use cps_testkit::run_seeded;
 
@@ -102,7 +102,7 @@ fn every_domain_serve_paths_agree_at_quiescence() {
 fn every_domain_agrees_across_storage_backends() {
     run_seeded("every_domain_agrees_across_storage_backends", |seed| {
         for case in &registry(seed, DAYS) {
-            check_storage_backend_equivalence(case);
+            check_stored_equivalence(case);
         }
     });
 }

@@ -1,15 +1,15 @@
 //! Backfill/migration pin: a store directory containing old row-format
 //! (`.acf`) day buckets — represented by a fixture checked in at
 //! `tests/fixtures/legacy-row-day-00000.acf` — stays fully readable under
-//! the columnar-default store, filtered loads included, and the first
-//! `save` migrates the bucket to a `.acs` segment (removing the stale
-//! twin). Unknown future segment versions are rejected with a typed
+//! the columnar store, filtered loads included, and the first `save`
+//! migrates the bucket to a `.acs` segment (removing the stale twin).
+//! Unknown future segment versions are rejected with a typed
 //! `VersionMismatch`, never misread.
 //!
-//! Regenerate the fixture after an intentional row-format change with:
-//! `REGEN_STORE_FIXTURE=1 cargo test -p cps-testkit --test store_migration`
+//! The row format is read-only: nothing writes `.acf` any more, so the
+//! fixture is frozen.
 
-use atypical::store::{cluster_matches, write_clusters, ForestLevel, ForestStore};
+use atypical::store::{cluster_matches, ForestLevel, ForestStore};
 use atypical::AtypicalCluster;
 use cps_core::{CpsError, ScratchDir, SensorId};
 use cps_storage::Predicate;
@@ -26,16 +26,6 @@ fn fixture_path() -> PathBuf {
 /// deterministic, so this is the fixture's expected plaintext).
 fn fixture_clusters() -> Vec<AtypicalCluster> {
     random_clusters(0xF1C, 10, 5)
-}
-
-/// Disabled by default: rewrites the checked-in fixture. Run once (env
-/// var set) after an intentional format change, then commit the file.
-#[test]
-fn regenerate_fixture_when_asked() {
-    if std::env::var("REGEN_STORE_FIXTURE").is_err() {
-        return;
-    }
-    write_clusters(&fixture_path(), &fixture_clusters()).expect("write fixture");
 }
 
 /// Seeds a store directory with the legacy fixture as day 0, exactly as

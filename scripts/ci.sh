@@ -85,10 +85,10 @@ CPS_FAULT_SEED=42 cargo test -q -p cps-testkit --test domain_profiles
 # Columnar segment gate: the zone-map soundness property suite (pushdown
 # == full-decode-then-filter, with chunks actually skipped), the
 # byte-flip / truncation corruption sweeps over representative segments
-# written by the forest store, the legacy row-bucket migration suite
-# (pinned by the checked-in fixture), and the forest-store crash sweeps
-# on both backends — all under the fixed seed so the certified sweep
-# reproduces anywhere.
+# written by the forest store, the read-only legacy row-bucket migration
+# suite (pinned by the checked-in fixture), and the forest-store crash
+# sweeps — all under the fixed seed so the certified sweep reproduces
+# anywhere.
 echo "==> CPS_FAULT_SEED=42 segment differential + corruption sweeps"
 CPS_FAULT_SEED=42 cargo test -q -p cps-testkit \
   --test segment_pushdown --test segment_corruption \
@@ -139,51 +139,15 @@ for _ in 1 2 3; do
 done
 cargo test -q -p cps-monitor --test serving_differential
 
-# Query-serving bench smoke: tiny feed, one iteration, one reader per
-# path. The run itself cross-checks cached == uncached == reference
-# answers at quiescence (it panics on any divergence before writing the
-# artifact), so this gates the snapshot publication + cache path end to
-# end. The committed repo-root BENCH_query_serving.json is the
-# full-scale release artifact from `repro query-serving --scale small
-# --threads 1,4,8`.
-echo "==> repro query-serving (smoke)"
-cargo run -q -p cps-bench --bin repro -- query-serving \
-  --days 2 --max-records 300 --threads 1 --iters 1 \
-  --bench-out results/BENCH_query_serving_smoke.json
-test -s results/BENCH_query_serving_smoke.json
-
-# Recovery bench smoke: one day, capped feed, one iteration. The run
-# itself asserts planted checkpoints shrink the replayed suffix, that
-# recovery succeeds at every suffix length, and — in the batched-ingest
-# sweep — that every batch size produces a final cluster state equal to
-# the one-record-per-call run's (the equality gate panics before the
-# artifact is written), so this also smokes the batch hot path end to
-# end at tiny scale.
-echo "==> repro monitor-recovery (smoke)"
-cargo run -q -p cps-bench --bin repro -- monitor-recovery \
-  --days 1 --max-records 300 --iters 1 \
-  --bench-out results/BENCH_recovery_smoke.json
-test -s results/BENCH_recovery_smoke.json
-
-# Segment-scan bench smoke: tiny scale, three days, one iteration. The
-# run itself asserts the row and columnar answers of every cell are
-# byte-identical (macro ids included) and match the in-memory oracle
-# before the artifact is written, so this gates predicate pushdown end
-# to end. The committed repo-root BENCH_segments.json is the full-scale
-# release artifact from `repro segment-scan --scale small`.
-echo "==> repro segment-scan (smoke)"
-cargo run -q -p cps-bench --bin repro -- segment-scan \
-  --days 3 --iters 1 --bench-out results/BENCH_segments_smoke.json
-test -s results/BENCH_segments_smoke.json
-
-# The same recovery sweep once on a non-traffic source: the `--source`
-# plumbing and the domain-matched skew feed go through the identical
-# equality gates, so a domain that breaks the durable hot path fails
-# here rather than in a downstream consumer.
-echo "==> repro monitor-recovery --source audit (smoke)"
-cargo run -q -p cps-bench --bin repro -- monitor-recovery \
-  --source audit --days 1 --max-records 300 --iters 1 \
-  --bench-out results/BENCH_recovery_audit_smoke.json
-test -s results/BENCH_recovery_audit_smoke.json
+# The monitor's benchmark at smoke size: all four workloads with their
+# oracles — record conservation, service micro-clusters == one
+# OnlineExtractor, recovered == clean, cached == uncached, query_guided ==
+# the batch reference, and micro_clusters_for_day == ForestStore::load —
+# plus BENCHMARK.json checked against the catalog. The diff afterwards
+# fails CI when an API change breaks or rewrites bench/ (the benchmark's
+# own directory and manifest are never regenerated by a build).
+echo "==> bench/smoke.sh"
+bench/smoke.sh
+git diff --exit-code -- bench BENCHMARK.json
 
 echo "CI green."
