@@ -95,9 +95,8 @@ impl AtypicalForest {
         }
     }
 
-    /// Integration with the forest's time-of-day alignment. The strategy —
-    /// indexed candidate generation or naive scan — follows
-    /// [`Params::indexed_integration`]; both produce identical roll-ups.
+    /// Integration with the forest's time-of-day alignment, through the
+    /// indexed [`integrate_aligned`].
     fn run_integration(&mut self, inputs: Vec<AtypicalCluster>) -> Vec<AtypicalCluster> {
         let alignment = self.alignment();
         let (macros, stats) = integrate_aligned(inputs, &self.params, alignment, &mut self.ids);

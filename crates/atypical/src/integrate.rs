@@ -11,7 +11,7 @@
 
 use crate::cluster::AtypicalCluster;
 use crate::feature::TemporalFeature;
-use crate::integrate_index::integrate_aligned_indexed;
+use crate::integrate_index::IndexedIntegrator;
 use crate::similarity::{fold_tf, similarity, similarity_folded, similarity_parts};
 use cps_core::ids::ClusterIdGen;
 use cps_core::{ClusterId, Params};
@@ -152,12 +152,11 @@ pub fn integrate_with_stats(
     integrate_aligned(clusters, params, TimeAlignment::Absolute, ids)
 }
 
-/// Integrates clusters into macro-clusters (Algorithm 3), dispatching on
-/// [`Params::indexed_integration`]: inverted-index candidate generation
-/// (default) or the naive pairwise scan. Both strategies walk the same work
-/// queue in the same order and merge with the same first above-threshold
-/// result member, so they produce **identical** outputs — the indexed path
-/// only skips evaluations the index proves are ≤ `δsim`
+/// Integrates clusters into macro-clusters (Algorithm 3) with inverted-index
+/// candidate generation ([`IndexedIntegrator`]). It walks the same work
+/// queue in the same order as [`integrate_aligned_naive`] and merges with
+/// the same first above-threshold result member, so the output is
+/// **identical** — the index only skips evaluations it proves are ≤ `δsim`
 /// (`tests/integrate_differential.rs` asserts the equivalence).
 pub fn integrate_aligned(
     clusters: Vec<AtypicalCluster>,
@@ -165,15 +164,29 @@ pub fn integrate_aligned(
     alignment: TimeAlignment,
     ids: &mut ClusterIdGen,
 ) -> (Vec<AtypicalCluster>, IntegrationStats) {
-    if params.indexed_integration {
-        integrate_aligned_indexed(clusters, params, alignment, ids)
-    } else {
-        integrate_aligned_naive(clusters, params, alignment, ids)
+    let mut integrator = IndexedIntegrator::new(params, alignment);
+    let mut queue: VecDeque<Aligned> = clusters
+        .into_iter()
+        .map(|c| Aligned::new(c, alignment))
+        .collect();
+    while let Some(entry) = queue.pop_front() {
+        if let Some(merged) = integrator.place(entry, ids) {
+            // Re-enqueue at the back, exactly like the naive work queue.
+            queue.push_back(merged);
+        }
     }
+    let stats = integrator.stats();
+    let out = integrator.into_clusters();
+    debug_assert!(
+        is_fixpoint_aligned(&out, params, alignment),
+        "indexed integration must return a pairwise-non-similar set"
+    );
+    (out, stats)
 }
 
 /// Integrates clusters into macro-clusters (Algorithm 3) with the naive
-/// full pairwise scan — the differential-test oracle for the indexed path.
+/// full pairwise scan — the reference the tests hold
+/// [`integrate_aligned`] to.
 ///
 /// Work-queue formulation: every cluster is compared against the tentative
 /// result set (an invariant: pairwise non-similar). On a hit the pair is
@@ -551,9 +564,9 @@ mod tests {
         let a = cluster(1, &[100, 101], &[100, 101]);
         let b = cluster(2, &[1, 2, 3, 4], &[10, 11, 12, 13]);
         let c = cluster(3, &[2, 3, 4, 5], &[11, 12, 13, 14]);
-        let p = params().with_indexed_integration(false);
         let mut ids = ClusterIdGen::new(50);
-        let (out, stats) = integrate_aligned(vec![a, b, c], &p, TimeAlignment::Absolute, &mut ids);
+        let (out, stats) =
+            integrate_aligned_naive(vec![a, b, c], &params(), TimeAlignment::Absolute, &mut ids);
         assert_eq!(out.len(), 2);
         assert_eq!(stats.merges, 1);
         assert_eq!(stats.comparisons, 4, "3 distinct pairs + 1 re-evaluation");
@@ -561,9 +574,9 @@ mod tests {
         assert_eq!(stats.bound_skips, 0, "naive path never bound-skips");
     }
 
-    /// The `Params::indexed_integration` flag selects the strategy; both
-    /// strategies return identical clusters (ids included) and identical
-    /// merge counts, and the indexed one never evaluates more pairs.
+    /// [`integrate_aligned`] (indexed) and the naive reference return
+    /// identical clusters (ids included) and identical merge counts, and
+    /// the indexed one never evaluates more pairs.
     #[test]
     fn dispatch_strategies_agree_exactly() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -581,14 +594,12 @@ mod tests {
                 windows_per_day: 288,
             },
         ] {
-            let naive_params = params().with_indexed_integration(false);
-            let indexed_params = params().with_indexed_integration(true);
             let mut ids_n = ClusterIdGen::new(1000);
             let mut ids_i = ClusterIdGen::new(1000);
             let (naive, ns) =
-                integrate_aligned(clusters.clone(), &naive_params, alignment, &mut ids_n);
+                integrate_aligned_naive(clusters.clone(), &params(), alignment, &mut ids_n);
             let (indexed, is) =
-                integrate_aligned(clusters.clone(), &indexed_params, alignment, &mut ids_i);
+                integrate_aligned(clusters.clone(), &params(), alignment, &mut ids_i);
             assert_eq!(naive, indexed, "{alignment:?}");
             assert_eq!(ns.merges, is.merges, "{alignment:?}");
             assert!(is.comparisons <= ns.comparisons, "{alignment:?}");

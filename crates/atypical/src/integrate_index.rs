@@ -42,12 +42,11 @@
 //! across alignments, balance functions, and adversarial inputs.
 
 use crate::cluster::AtypicalCluster;
-use crate::integrate::{is_fixpoint_aligned, Aligned, IntegrationStats, TimeAlignment};
+use crate::integrate::{Aligned, IntegrationStats, TimeAlignment};
 use crate::similarity::similarity_parts;
 use cps_core::ids::ClusterIdGen;
 use cps_core::{BalanceFunction, Params, SensorId, Severity, TimeWindow};
 use cps_index::InvertedIndex;
-use std::collections::VecDeque;
 
 /// Per-probe scratch: epoch-stamped overlap accumulators, one lane per
 /// result slot, reused across probes so candidate gathering allocates only
@@ -131,8 +130,8 @@ fn side_bound(g: BalanceFunction, shared: bool, overlap_secs: u64, total: Severi
 ///
 /// Two modes of use:
 ///
-/// * **batch** — [`integrate_aligned_indexed`] drives the same FIFO work
-///   queue as the naive oracle and produces identical output;
+/// * **batch** — [`crate::integrate::integrate_aligned`] drives the same
+///   FIFO work queue as the naive oracle and produces identical output;
 /// * **persistent** — `cps-monitor` keeps one integrator alive and
 ///   [`Self::admit`]s each finalized micro-cluster, so the live
 ///   macro-cluster set stays at the fixpoint without rescanning.
@@ -345,40 +344,11 @@ impl IndexedIntegrator {
     }
 }
 
-/// [`crate::integrate::integrate_aligned_naive`] with inverted-index
-/// candidate generation — identical output, fewer similarity evaluations.
-/// See the module docs for why the result is exact.
-pub fn integrate_aligned_indexed(
-    clusters: Vec<AtypicalCluster>,
-    params: &Params,
-    alignment: TimeAlignment,
-    ids: &mut ClusterIdGen,
-) -> (Vec<AtypicalCluster>, IntegrationStats) {
-    let mut integrator = IndexedIntegrator::new(params, alignment);
-    let mut queue: VecDeque<Aligned> = clusters
-        .into_iter()
-        .map(|c| Aligned::new(c, alignment))
-        .collect();
-    while let Some(entry) = queue.pop_front() {
-        if let Some(merged) = integrator.place(entry, ids) {
-            // Re-enqueue at the back, exactly like the naive work queue.
-            queue.push_back(merged);
-        }
-    }
-    let stats = integrator.stats();
-    let out = integrator.into_clusters();
-    debug_assert!(
-        is_fixpoint_aligned(&out, params, alignment),
-        "indexed integration must return a pairwise-non-similar set"
-    );
-    (out, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::feature::{SpatialFeature, TemporalFeature};
-    use crate::integrate::integrate_aligned_naive;
+    use crate::integrate::{integrate_aligned, integrate_aligned_naive};
     use cps_core::ClusterId;
 
     fn cluster(id: u64, sensors: &[(u32, f64)], windows: &[(u32, f64)]) -> AtypicalCluster {
@@ -424,8 +394,7 @@ mod tests {
             })
             .collect();
         let mut ids = ClusterIdGen::new(100);
-        let (out, stats) =
-            integrate_aligned_indexed(inputs, &params, TimeAlignment::Absolute, &mut ids);
+        let (out, stats) = integrate_aligned(inputs, &params, TimeAlignment::Absolute, &mut ids);
         assert_eq!(out.len(), 10);
         assert_eq!(stats.comparisons, 0, "no pair shares a key");
         assert_eq!(stats.bound_skips, 0);
@@ -438,8 +407,7 @@ mod tests {
         let inputs: Vec<AtypicalCluster> =
             (0..5).map(|i| uniform(i, &[1, 2, 3], &[7, 8, 9])).collect();
         let mut ids = ClusterIdGen::new(100);
-        let (out, stats) =
-            integrate_aligned_indexed(inputs, &params, TimeAlignment::Absolute, &mut ids);
+        let (out, stats) = integrate_aligned(inputs, &params, TimeAlignment::Absolute, &mut ids);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].merged_count, 5);
         assert_eq!(stats.merges, 4);
@@ -457,7 +425,7 @@ mod tests {
         let b = cluster(2, &[(2, 1.0), (3, 100.0)], &[(9, 101.0)]);
         let mut ids = ClusterIdGen::new(10);
         let (out, stats) =
-            integrate_aligned_indexed(vec![a, b], &params, TimeAlignment::Absolute, &mut ids);
+            integrate_aligned(vec![a, b], &params, TimeAlignment::Absolute, &mut ids);
         assert_eq!(out.len(), 2);
         assert_eq!(stats.bound_skips, 1, "shared sensor, but bound ≤ δsim");
         assert_eq!(stats.comparisons, 0);
@@ -476,7 +444,7 @@ mod tests {
             })
             .collect();
         let mut ids_batch = ClusterIdGen::new(500);
-        let (batch, _) = integrate_aligned_indexed(
+        let (batch, _) = integrate_aligned(
             inputs.clone(),
             &params,
             TimeAlignment::Absolute,
@@ -520,7 +488,7 @@ mod tests {
         let mut ids_a = ClusterIdGen::new(1000);
         let mut ids_b = ClusterIdGen::new(1000);
         let (indexed, is) =
-            integrate_aligned_indexed(inputs.clone(), &params, TimeAlignment::Absolute, &mut ids_a);
+            integrate_aligned(inputs.clone(), &params, TimeAlignment::Absolute, &mut ids_a);
         let (naive, ns) =
             integrate_aligned_naive(inputs, &params, TimeAlignment::Absolute, &mut ids_b);
         assert_eq!(indexed, naive);

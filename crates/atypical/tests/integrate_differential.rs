@@ -1,8 +1,8 @@
 //! Differential tests: indexed integration against the naive oracle.
 //!
-//! [`integrate_aligned`] dispatches on [`Params::indexed_integration`]
-//! between two implementations of Algorithm 3. The indexed path claims to
-//! be **bit-identical** to the naive scan — same clusters, same IDs, same
+//! [`integrate_aligned`] (inverted-index candidate generation) and
+//! [`integrate_aligned_naive`] are two implementations of Algorithm 3. The
+//! indexed path claims to be **bit-identical** to the naive scan — same clusters, same IDs, same
 //! result order, same merge count — while skipping only comparisons the
 //! inverted indexes or the admissible similarity bound prove are
 //! ≤ `δsim`. These tests check that claim across random inputs (seeded
@@ -11,7 +11,8 @@
 //! shapes that stress each pruning rule.
 
 use atypical::integrate::{
-    integrate_aligned, is_fixpoint_aligned, IntegrationStats, TimeAlignment,
+    integrate_aligned, integrate_aligned_naive, is_fixpoint_aligned, IntegrationStats,
+    TimeAlignment,
 };
 use atypical::AtypicalCluster;
 use cps_core::ids::ClusterIdGen;
@@ -34,14 +35,12 @@ fn check_equivalence(
     alignment: TimeAlignment,
     context: &str,
 ) -> (IntegrationStats, IntegrationStats) {
-    let naive_params = params.with_indexed_integration(false);
-    let indexed_params = params.with_indexed_integration(true);
     let mut naive_ids = ClusterIdGen::new(1_000_000);
     let mut indexed_ids = ClusterIdGen::new(1_000_000);
     let (naive, naive_stats) =
-        integrate_aligned(input.to_vec(), &naive_params, alignment, &mut naive_ids);
+        integrate_aligned_naive(input.to_vec(), params, alignment, &mut naive_ids);
     let (indexed, indexed_stats) =
-        integrate_aligned(input.to_vec(), &indexed_params, alignment, &mut indexed_ids);
+        integrate_aligned(input.to_vec(), params, alignment, &mut indexed_ids);
 
     // Both outputs reach the Algorithm 3 fixpoint.
     assert!(

@@ -18,7 +18,9 @@
 //! tiny fraction of sensor pairs). A fraction of clusters revisit an
 //! earlier site so merge cascades still occur.
 
-use atypical::integrate::{integrate_aligned, IntegrationStats, TimeAlignment};
+use atypical::integrate::{
+    integrate_aligned, integrate_aligned_naive, IntegrationStats, TimeAlignment,
+};
 use atypical::AtypicalCluster;
 use cps_core::ids::ClusterIdGen;
 use cps_core::{ClusterId, Params, SensorId, Severity, TimeWindow};
@@ -120,17 +122,26 @@ pub fn sparse_clusters(n: usize, seed: u64) -> Vec<AtypicalCluster> {
         .collect()
 }
 
+/// One integration strategy: [`integrate_aligned`] or its naive reference.
+type Strategy = fn(
+    Vec<AtypicalCluster>,
+    &Params,
+    TimeAlignment,
+    &mut ClusterIdGen,
+) -> (Vec<AtypicalCluster>, IntegrationStats);
+
 fn time_strategy(
     input: &[AtypicalCluster],
-    params: &Params,
+    strategy: Strategy,
     iters: u32,
 ) -> (Vec<AtypicalCluster>, IntegrationStats, f64) {
+    let params = Params::paper_defaults();
     let mut best_ms = f64::INFINITY;
     let mut out = None;
     for _ in 0..iters.max(1) {
         let mut ids = ClusterIdGen::new(1_000_000_000);
         let start = Instant::now();
-        let result = integrate_aligned(input.to_vec(), params, TimeAlignment::Absolute, &mut ids);
+        let result = strategy(input.to_vec(), &params, TimeAlignment::Absolute, &mut ids);
         let ms = start.elapsed().as_secs_f64() * 1e3;
         best_ms = best_ms.min(ms);
         out = Some(result);
@@ -141,17 +152,15 @@ fn time_strategy(
 
 /// Runs the benchmark, asserting naive/indexed equivalence at every size.
 pub fn run(config: &IntegrateBenchConfig) -> Vec<SizeResult> {
-    let naive_params = Params::paper_defaults().with_indexed_integration(false);
-    let indexed_params = Params::paper_defaults().with_indexed_integration(true);
     config
         .sizes
         .iter()
         .map(|&n| {
             let input = sparse_clusters(n, config.seed);
             let (naive_out, naive_stats, naive_ms) =
-                time_strategy(&input, &naive_params, config.iters);
+                time_strategy(&input, integrate_aligned_naive, config.iters);
             let (indexed_out, indexed_stats, indexed_ms) =
-                time_strategy(&input, &indexed_params, config.iters);
+                time_strategy(&input, integrate_aligned, config.iters);
             assert_eq!(
                 naive_out, indexed_out,
                 "strategies diverged at {n} clusters (seed {})",

@@ -105,12 +105,6 @@ pub struct Params {
     /// isolated single-window glitch with no corroborating neighbour is not
     /// a trustworthy event. Set to 1 to keep everything.
     pub min_event_records: u32,
-    /// Use inverted-index candidate generation during cluster integration
-    /// (Algorithm 3). The indexed path produces results identical to the
-    /// naive pairwise scan — candidates are exact because zero key overlap
-    /// implies zero similarity — it only skips provably sub-threshold
-    /// comparisons. Default `true`; turn off to run the naive oracle.
-    pub indexed_integration: bool,
     /// Worker threads for offline forest/cube construction (leaf builds,
     /// sibling roll-ups, cuboid materialization). `0` means "all available
     /// cores" (the default); `1` runs the exact sequential code path. Any
@@ -131,7 +125,6 @@ impl Params {
             delta_sim: 0.5,
             balance: BalanceFunction::ArithmeticMean,
             min_event_records: 2,
-            indexed_integration: true,
             parallelism: 0,
         }
     }
@@ -206,14 +199,6 @@ impl Params {
         self
     }
 
-    /// Builder-style override of the integration strategy: `true` (default)
-    /// uses inverted-index candidate generation, `false` the naive pairwise
-    /// scan (the differential-test oracle).
-    pub fn with_indexed_integration(mut self, on: bool) -> Self {
-        self.indexed_integration = on;
-        self
-    }
-
     /// Builder-style override of the construction parallelism (`0` = all
     /// cores, `1` = sequential escape hatch).
     pub fn with_parallelism(mut self, threads: usize) -> Self {
@@ -241,10 +226,6 @@ mod tests {
         assert_eq!(p.delta_s, 0.05);
         assert_eq!(p.delta_sim, 0.5);
         assert_eq!(p.balance, BalanceFunction::ArithmeticMean);
-        assert!(
-            p.indexed_integration,
-            "indexed integration is on by default"
-        );
         assert_eq!(p.parallelism, 0, "parallelism defaults to all cores");
         assert!(p.effective_parallelism() >= 1);
         assert_eq!(p.with_parallelism(3).effective_parallelism(), 3);

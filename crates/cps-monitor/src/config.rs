@@ -1,8 +1,8 @@
 //! Monitor configuration, loadable from a small TOML subset.
 //!
-//! The accepted grammar is flat `key = value` lines plus one optional
-//! `[replay]` section — enough for deployment configs without an external
-//! TOML dependency:
+//! The accepted grammar is flat `key = value` lines under optional
+//! `[section]` headers — enough for deployment configs without an external
+//! TOML dependency. Every key is declared once, in `KEYS`:
 //!
 //! ```toml
 //! shards = 4
@@ -10,8 +10,12 @@
 //! overflow = "block"          # or "drop"
 //! delta_t_minutes = 15        # seal policy: gap after which events seal
 //! min_event_records = 2       # seal policy: trust filter
+//! delta_d_miles = 1.5         # δd: distance within which records relate
+//! delta_s = 0.05              # δs: significance threshold (Definition 5)
+//! delta_sim = 0.5             # δsim: macro-cluster merge threshold
 //! parallelism = 0             # forest-snapshot workers: 0 = all cores,
 //!                             # 1 = sequential; output identical either way
+//! window_minutes = 5          # window length; must divide 60
 //! red_cell_miles = 2.0
 //! snapshot_dir = "/var/lib/cps-monitor"   # day buckets, written as columnar .acs
 //! rebalance_interval_records = 0  # adaptive shard rebalancing: records
@@ -439,124 +443,13 @@ impl MonitorConfig {
     /// Parses the TOML subset described in the module docs, starting from
     /// defaults so every key is optional.
     pub fn from_toml_str(text: &str) -> Result<Self, String> {
-        let entries = parse_flat_toml(text)?;
         let mut config = MonitorConfig::default();
-        for (key, value) in &entries {
-            match key.as_str() {
-                "shards" => config.shards = value.as_usize(key)?,
-                "channel_capacity" => config.channel_capacity = value.as_usize(key)?,
-                "overflow" => {
-                    config.overflow = match value.as_str(key)? {
-                        "block" => OverflowPolicy::Block,
-                        "drop" => OverflowPolicy::Drop,
-                        other => return Err(format!("overflow: unknown policy {other:?}")),
-                    }
-                }
-                "delta_t_minutes" => {
-                    config.params.delta_t_minutes = value.as_usize(key)? as u32;
-                }
-                "min_event_records" => {
-                    config.params.min_event_records = value.as_usize(key)? as u32;
-                }
-                "delta_d_miles" => config.params.delta_d_miles = value.as_f64(key)?,
-                "delta_s" => config.params.delta_s = value.as_f64(key)?,
-                "delta_sim" => config.params.delta_sim = value.as_f64(key)?,
-                "parallelism" => config.params.parallelism = value.as_usize(key)?,
-                "window_minutes" => {
-                    config.spec = WindowSpec::new(value.as_usize(key)? as u32);
-                }
-                "red_cell_miles" => config.red_cell_miles = value.as_f64(key)?,
-                "snapshot_dir" => {
-                    config.snapshot_dir = Some(PathBuf::from(value.as_str(key)?));
-                }
-                "rebalance_interval_records" => {
-                    config.rebalance_interval_records = value.as_usize(key)? as u64;
-                }
-                "rebalance_skew" => config.rebalance_skew = value.as_f64(key)?,
-                "replay.scale" => config.replay.scale = value.as_str(key)?.to_string(),
-                "replay.seed" => config.replay.seed = value.as_usize(key)? as u64,
-                "replay.days" => config.replay.days = value.as_usize(key)? as u32,
-                "source.domain" => {
-                    let name = value.as_str(key)?;
-                    config.source.domain = Domain::parse(name)
-                        .ok_or_else(|| format!("source.domain: unknown domain {name:?}"))?;
-                }
-                "source.actor_count" => {
-                    config.source.actor_count = value.as_usize(key)? as u32;
-                }
-                "source.hot_actor_ratio" => {
-                    config.source.hot_actor_ratio = value.as_f64(key)?;
-                }
-                "source.hot_actor_share" => {
-                    config.source.hot_actor_share = value.as_f64(key)?;
-                }
-                "source.incident_rate" => {
-                    config.source.incident_rate = value.as_f64(key)?;
-                }
-                "source.sites" => config.source.sites = value.as_usize(key)? as u32,
-                "source.fault_rate" => config.source.fault_rate = value.as_f64(key)?,
-                "source.cascade_share" => {
-                    config.source.cascade_share = value.as_f64(key)?;
-                }
-                "admission.shed" => config.admission.shed = value.as_bool(key)?,
-                "admission.quarantine" => config.admission.quarantine = value.as_bool(key)?,
-                "admission.order_tolerance_windows" => {
-                    config.admission.order_tolerance_windows = value.as_usize(key)? as u32;
-                }
-                "admission.dedup" => config.admission.dedup = value.as_bool(key)?,
-                "admission.quarantine_capacity" => {
-                    config.admission.quarantine_capacity = value.as_usize(key)?;
-                }
-                "durability.wal_dir" => {
-                    config.durability.wal_dir = Some(PathBuf::from(value.as_str(key)?));
-                }
-                "durability.fsync" => {
-                    config.durability.fsync = match value.as_str(key)? {
-                        "always" => FsyncPolicy::Always,
-                        "never" => FsyncPolicy::Never,
-                        "group" => FsyncPolicy::Group,
-                        other => return Err(format!("durability.fsync: unknown policy {other:?}")),
-                    }
-                }
-                "durability.group_commit_records" => {
-                    config.durability.group_commit_records = value.as_usize(key)? as u64;
-                }
-                "durability.checkpoint_interval_records" => {
-                    config.durability.checkpoint_interval_records = value.as_usize(key)? as u64;
-                }
-                "durability.respawn_budget" => {
-                    config.durability.respawn_budget = value.as_usize(key)? as u32;
-                }
-                "durability.segment_bytes" => {
-                    config.durability.segment_bytes = value.as_usize(key)? as u64;
-                }
-                "durability.retry_attempts" => {
-                    config.durability.retry_attempts = value.as_usize(key)? as u32;
-                }
-                "durability.retry_base_ms" => {
-                    config.durability.retry_base_ms = value.as_usize(key)? as u64;
-                }
-                "durability.retry_max_ms" => {
-                    config.durability.retry_max_ms = value.as_usize(key)? as u64;
-                }
-                "durability.retry_jitter_seed" => {
-                    config.durability.retry_jitter_seed = value.as_usize(key)? as u64;
-                }
-                "serving.publish_every_clusters" => {
-                    config.serving.publish_every_clusters = value.as_usize(key)? as u64;
-                }
-                "serving.publish_every_windows" => {
-                    config.serving.publish_every_windows = value.as_usize(key)? as u32;
-                }
-                "serving.cache_shards" => {
-                    config.serving.cache_shards = value.as_usize(key)?;
-                }
-                "serving.cache_capacity" => {
-                    config.serving.cache_capacity = value.as_usize(key)?;
-                }
-                "serving.cache" => config.serving.cache = value.as_bool(key)?,
-                other => return Err(format!("unknown configuration key {other:?}")),
-            }
+        for (name, value) in &parse_flat_toml(text)? {
+            let key = KEYS
+                .iter()
+                .find(|k| k.name == name)
+                .ok_or_else(|| format!("unknown configuration key {name:?}"))?;
+            (key.set)(&mut config, value).map_err(|e| format!("{name}: {e}"))?;
         }
         config.validate()?;
         Ok(config)
@@ -572,87 +465,18 @@ impl MonitorConfig {
     /// `from_toml_str(c.to_toml())` reproduces `c` (modulo the fault
     /// hooks, which have no TOML surface).
     pub fn to_toml(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(out, "shards = {}", self.shards);
-        let _ = writeln!(out, "channel_capacity = {}", self.channel_capacity);
-        let overflow = match self.overflow {
-            OverflowPolicy::Block => "block",
-            OverflowPolicy::Drop => "drop",
-        };
-        let _ = writeln!(out, "overflow = \"{overflow}\"");
-        let _ = writeln!(out, "delta_t_minutes = {}", self.params.delta_t_minutes);
-        let _ = writeln!(out, "min_event_records = {}", self.params.min_event_records);
-        let _ = writeln!(out, "delta_d_miles = {}", self.params.delta_d_miles);
-        let _ = writeln!(out, "delta_s = {}", self.params.delta_s);
-        let _ = writeln!(out, "delta_sim = {}", self.params.delta_sim);
-        let _ = writeln!(out, "parallelism = {}", self.params.parallelism);
-        let _ = writeln!(out, "window_minutes = {}", self.spec.window_minutes);
-        let _ = writeln!(out, "red_cell_miles = {}", self.red_cell_miles);
-        if let Some(dir) = &self.snapshot_dir {
-            let _ = writeln!(out, "snapshot_dir = \"{}\"", dir.display());
+        let mut section = "";
+        for key in KEYS {
+            let (key_section, name) = key.name.rsplit_once('.').unwrap_or(("", key.name));
+            if key_section != section {
+                section = key_section;
+                out.push_str(&format!("\n[{section}]\n"));
+            }
+            if let Some(value) = (key.get)(self) {
+                out.push_str(&format!("{name} = {value}\n"));
+            }
         }
-        let _ = writeln!(
-            out,
-            "rebalance_interval_records = {}",
-            self.rebalance_interval_records
-        );
-        let _ = writeln!(out, "rebalance_skew = {}", self.rebalance_skew);
-        let _ = writeln!(out, "\n[replay]");
-        let _ = writeln!(out, "scale = \"{}\"", self.replay.scale);
-        let _ = writeln!(out, "seed = {}", self.replay.seed);
-        let _ = writeln!(out, "days = {}", self.replay.days);
-        let _ = writeln!(out, "\n[source]");
-        let src = &self.source;
-        let _ = writeln!(out, "domain = \"{}\"", src.domain.name());
-        let _ = writeln!(out, "actor_count = {}", src.actor_count);
-        let _ = writeln!(out, "hot_actor_ratio = {}", src.hot_actor_ratio);
-        let _ = writeln!(out, "hot_actor_share = {}", src.hot_actor_share);
-        let _ = writeln!(out, "incident_rate = {}", src.incident_rate);
-        let _ = writeln!(out, "sites = {}", src.sites);
-        let _ = writeln!(out, "fault_rate = {}", src.fault_rate);
-        let _ = writeln!(out, "cascade_share = {}", src.cascade_share);
-        let _ = writeln!(out, "\n[admission]");
-        let a = &self.admission;
-        let _ = writeln!(out, "shed = {}", a.shed);
-        let _ = writeln!(out, "quarantine = {}", a.quarantine);
-        let _ = writeln!(
-            out,
-            "order_tolerance_windows = {}",
-            a.order_tolerance_windows
-        );
-        let _ = writeln!(out, "dedup = {}", a.dedup);
-        let _ = writeln!(out, "quarantine_capacity = {}", a.quarantine_capacity);
-        let _ = writeln!(out, "\n[durability]");
-        let d = &self.durability;
-        if let Some(dir) = &d.wal_dir {
-            let _ = writeln!(out, "wal_dir = \"{}\"", dir.display());
-        }
-        let fsync = match d.fsync {
-            FsyncPolicy::Always => "always",
-            FsyncPolicy::Never => "never",
-            FsyncPolicy::Group => "group",
-        };
-        let _ = writeln!(out, "fsync = \"{fsync}\"");
-        let _ = writeln!(out, "group_commit_records = {}", d.group_commit_records);
-        let _ = writeln!(
-            out,
-            "checkpoint_interval_records = {}",
-            d.checkpoint_interval_records
-        );
-        let _ = writeln!(out, "respawn_budget = {}", d.respawn_budget);
-        let _ = writeln!(out, "segment_bytes = {}", d.segment_bytes);
-        let _ = writeln!(out, "retry_attempts = {}", d.retry_attempts);
-        let _ = writeln!(out, "retry_base_ms = {}", d.retry_base_ms);
-        let _ = writeln!(out, "retry_max_ms = {}", d.retry_max_ms);
-        let _ = writeln!(out, "retry_jitter_seed = {}", d.retry_jitter_seed);
-        let _ = writeln!(out, "\n[serving]");
-        let s = &self.serving;
-        let _ = writeln!(out, "publish_every_clusters = {}", s.publish_every_clusters);
-        let _ = writeln!(out, "publish_every_windows = {}", s.publish_every_windows);
-        let _ = writeln!(out, "cache_shards = {}", s.cache_shards);
-        let _ = writeln!(out, "cache_capacity = {}", s.cache_capacity);
-        let _ = writeln!(out, "cache = {}", s.cache);
         out
     }
 
@@ -698,6 +522,196 @@ impl MonitorConfig {
     }
 }
 
+/// One TOML key: its name (`section.key` outside the top level) and how it
+/// reads and writes its [`MonitorConfig`] field.
+struct Key {
+    name: &'static str,
+    /// The rendered value; `None` leaves the key out (an unset path).
+    get: fn(&MonitorConfig) -> Option<String>,
+    set: fn(&mut MonitorConfig, &TomlValue) -> Result<(), String>,
+}
+
+/// Declares [`KEYS`]: each entry names a key once, with the field it sets.
+/// The field's type ([`TomlField`]) parses, range-checks and renders it.
+macro_rules! keys {
+    ($($name:literal => $($field:ident).+,)*) => {
+        const KEYS: &[Key] = &[$(Key {
+            name: $name,
+            get: |c| c.$($field).+.render(),
+            set: |c, v| {
+                c.$($field).+ = TomlField::parse(v)?;
+                Ok(())
+            },
+        },)*];
+    };
+}
+
+// Every key, in `to_toml` order; sections must stay contiguous.
+keys! {
+    "shards" => shards,
+    "channel_capacity" => channel_capacity,
+    "overflow" => overflow,
+    "delta_t_minutes" => params.delta_t_minutes,
+    "min_event_records" => params.min_event_records,
+    "delta_d_miles" => params.delta_d_miles,
+    "delta_s" => params.delta_s,
+    "delta_sim" => params.delta_sim,
+    "parallelism" => params.parallelism,
+    "window_minutes" => spec,
+    "red_cell_miles" => red_cell_miles,
+    "snapshot_dir" => snapshot_dir,
+    "rebalance_interval_records" => rebalance_interval_records,
+    "rebalance_skew" => rebalance_skew,
+    "replay.scale" => replay.scale,
+    "replay.seed" => replay.seed,
+    "replay.days" => replay.days,
+    "source.domain" => source.domain,
+    "source.actor_count" => source.actor_count,
+    "source.hot_actor_ratio" => source.hot_actor_ratio,
+    "source.hot_actor_share" => source.hot_actor_share,
+    "source.incident_rate" => source.incident_rate,
+    "source.sites" => source.sites,
+    "source.fault_rate" => source.fault_rate,
+    "source.cascade_share" => source.cascade_share,
+    "admission.shed" => admission.shed,
+    "admission.quarantine" => admission.quarantine,
+    "admission.order_tolerance_windows" => admission.order_tolerance_windows,
+    "admission.dedup" => admission.dedup,
+    "admission.quarantine_capacity" => admission.quarantine_capacity,
+    "durability.wal_dir" => durability.wal_dir,
+    "durability.fsync" => durability.fsync,
+    "durability.group_commit_records" => durability.group_commit_records,
+    "durability.checkpoint_interval_records" => durability.checkpoint_interval_records,
+    "durability.respawn_budget" => durability.respawn_budget,
+    "durability.segment_bytes" => durability.segment_bytes,
+    "durability.retry_attempts" => durability.retry_attempts,
+    "durability.retry_base_ms" => durability.retry_base_ms,
+    "durability.retry_max_ms" => durability.retry_max_ms,
+    "durability.retry_jitter_seed" => durability.retry_jitter_seed,
+    "serving.publish_every_clusters" => serving.publish_every_clusters,
+    "serving.publish_every_windows" => serving.publish_every_windows,
+    "serving.cache_shards" => serving.cache_shards,
+    "serving.cache_capacity" => serving.cache_capacity,
+    "serving.cache" => serving.cache,
+}
+
+/// A field type a TOML key can set: parsed with range checks, rendered
+/// back so that parsing the rendering reproduces the value.
+trait TomlField: Sized {
+    fn parse(value: &TomlValue) -> Result<Self, String>;
+    fn render(&self) -> Option<String>;
+}
+
+macro_rules! integer_fields {
+    ($($int:ty),*) => {$(
+        impl TomlField for $int {
+            fn parse(value: &TomlValue) -> Result<Self, String> {
+                match value {
+                    TomlValue::Int(n) => <$int>::try_from(*n)
+                        .map_err(|_| format!("{n} is out of range 0..={}", <$int>::MAX)),
+                    other => Err(format!("expected a non-negative integer, got {other:?}")),
+                }
+            }
+            fn render(&self) -> Option<String> {
+                Some(self.to_string())
+            }
+        }
+    )*};
+}
+integer_fields!(u32, u64, usize);
+
+impl TomlField for f64 {
+    fn parse(value: &TomlValue) -> Result<Self, String> {
+        match value {
+            TomlValue::Float(x) => Ok(*x),
+            TomlValue::Int(n) => Ok(*n as f64),
+            other => Err(format!("expected a number, got {other:?}")),
+        }
+    }
+    fn render(&self) -> Option<String> {
+        Some(self.to_string())
+    }
+}
+
+impl TomlField for bool {
+    fn parse(value: &TomlValue) -> Result<Self, String> {
+        match value {
+            TomlValue::Bool(b) => Ok(*b),
+            other => Err(format!("expected true or false, got {other:?}")),
+        }
+    }
+    fn render(&self) -> Option<String> {
+        Some(self.to_string())
+    }
+}
+
+impl TomlField for String {
+    fn parse(value: &TomlValue) -> Result<Self, String> {
+        value.as_str().map(str::to_string)
+    }
+    fn render(&self) -> Option<String> {
+        Some(format!("\"{self}\""))
+    }
+}
+
+/// A path key: set means `Some`, and an unset path is left out.
+impl TomlField for Option<PathBuf> {
+    fn parse(value: &TomlValue) -> Result<Self, String> {
+        value.as_str().map(|s| Some(PathBuf::from(s)))
+    }
+    fn render(&self) -> Option<String> {
+        self.as_ref().map(|dir| format!("\"{}\"", dir.display()))
+    }
+}
+
+/// `window_minutes`: a window length that divides the hour.
+impl TomlField for WindowSpec {
+    fn parse(value: &TomlValue) -> Result<Self, String> {
+        let minutes = u32::parse(value)?;
+        if minutes == 0 || 60 % minutes != 0 {
+            return Err(format!("{minutes} minutes does not divide an hour"));
+        }
+        Ok(WindowSpec::new(minutes))
+    }
+    fn render(&self) -> Option<String> {
+        self.window_minutes.render()
+    }
+}
+
+impl TomlField for Domain {
+    fn parse(value: &TomlValue) -> Result<Self, String> {
+        let name = value.as_str()?;
+        Domain::parse(name).ok_or_else(|| format!("unknown domain {name:?}"))
+    }
+    fn render(&self) -> Option<String> {
+        Some(format!("\"{}\"", self.name()))
+    }
+}
+
+/// Policy keys: one of a fixed set of names per enum.
+macro_rules! policy_fields {
+    ($($policy:ident { $($name:literal => $variant:ident,)* })*) => {$(
+        impl TomlField for $policy {
+            fn parse(value: &TomlValue) -> Result<Self, String> {
+                match value.as_str()? {
+                    $($name => Ok(Self::$variant),)*
+                    other => Err(format!("unknown policy {other:?}")),
+                }
+            }
+            fn render(&self) -> Option<String> {
+                let name = match self {
+                    $(Self::$variant => $name,)*
+                };
+                Some(format!("\"{name}\""))
+            }
+        }
+    )*};
+}
+policy_fields! {
+    OverflowPolicy { "block" => Block, "drop" => Drop, }
+    FsyncPolicy { "always" => Always, "never" => Never, "group" => Group, }
+}
+
 /// One parsed TOML value.
 #[derive(Clone, Debug, PartialEq)]
 enum TomlValue {
@@ -708,34 +722,10 @@ enum TomlValue {
 }
 
 impl TomlValue {
-    fn as_usize(&self, key: &str) -> Result<usize, String> {
-        match self {
-            TomlValue::Int(n) if *n >= 0 => Ok(*n as usize),
-            other => Err(format!(
-                "{key}: expected a non-negative integer, got {other:?}"
-            )),
-        }
-    }
-
-    fn as_f64(&self, key: &str) -> Result<f64, String> {
-        match self {
-            TomlValue::Float(x) => Ok(*x),
-            TomlValue::Int(n) => Ok(*n as f64),
-            other => Err(format!("{key}: expected a number, got {other:?}")),
-        }
-    }
-
-    fn as_str(&self, key: &str) -> Result<&str, String> {
+    fn as_str(&self) -> Result<&str, String> {
         match self {
             TomlValue::Str(s) => Ok(s),
-            other => Err(format!("{key}: expected a string, got {other:?}")),
-        }
-    }
-
-    fn as_bool(&self, key: &str) -> Result<bool, String> {
-        match self {
-            TomlValue::Bool(b) => Ok(*b),
-            other => Err(format!("{key}: expected true or false, got {other:?}")),
+            other => Err(format!("expected a string, got {other:?}")),
         }
     }
 }
@@ -1185,5 +1175,132 @@ mod tests {
         assert!(MonitorConfig::from_toml_str("shards 4").is_err());
         assert!(MonitorConfig::from_toml_str("shards = 2\nshards = 3").is_err());
         assert!(MonitorConfig::from_toml_str("[re play]\nscale = \"tiny\"").is_err());
+        // A window length that does not divide the hour is an error, not
+        // a panic.
+        for bad in ["window_minutes = 7", "window_minutes = 0"] {
+            let err = MonitorConfig::from_toml_str(bad).unwrap_err();
+            assert!(err.contains("window_minutes"), "{err}");
+        }
+        // 2^32 + 15 must not truncate to 15 in a u32 field. Each key gets
+        // the context that would make 15 valid.
+        for (context, key) in [
+            ("", "delta_t_minutes"),
+            ("", "window_minutes"),
+            ("", "min_event_records"),
+            ("[replay]\n", "days"),
+            (
+                "[admission]\nquarantine = true\n",
+                "order_tolerance_windows",
+            ),
+            ("[durability]\nwal_dir = \"/tmp/x\"\n", "respawn_budget"),
+            ("[durability]\n", "retry_attempts"),
+            ("[serving]\n", "publish_every_windows"),
+            ("[source]\ndomain = \"audit\"\n", "actor_count"),
+            ("[source]\ndomain = \"infrastructure\"\n", "sites"),
+        ] {
+            let text = format!("{context}{key} = 4294967311");
+            let err = MonitorConfig::from_toml_str(&text).unwrap_err();
+            assert!(
+                err.contains(key) && err.contains("out of range"),
+                "{text}: {err}"
+            );
+            let fits = format!("{context}{key} = 15");
+            MonitorConfig::from_toml_str(&fits).unwrap();
+        }
+    }
+
+    /// Every key set away from its default survives a render → parse →
+    /// render round trip byte for byte. The audit and infrastructure
+    /// knobs exclude each other, so each domain gets one config.
+    #[test]
+    fn every_key_roundtrips() {
+        let mut config = MonitorConfig {
+            shards: 3,
+            channel_capacity: 17,
+            overflow: OverflowPolicy::Block,
+            spec: WindowSpec::new(15),
+            red_cell_miles: 1.25,
+            snapshot_dir: Some(PathBuf::from("/srv/snap")),
+            rebalance_interval_records: 900,
+            rebalance_skew: 1.75,
+            replay: ReplayConfig {
+                scale: "tiny".to_string(),
+                seed: 9,
+                days: 3,
+            },
+            admission: AdmissionConfig {
+                shed: true,
+                quarantine: true,
+                order_tolerance_windows: 2,
+                dedup: true,
+                quarantine_capacity: 33,
+            },
+            durability: DurabilityConfig {
+                wal_dir: Some(PathBuf::from("/srv/wal")),
+                fsync: FsyncPolicy::Always,
+                group_commit_records: 5,
+                checkpoint_interval_records: 700,
+                respawn_budget: 2,
+                segment_bytes: 8192,
+                retry_attempts: 4,
+                retry_base_ms: 3,
+                retry_max_ms: 30,
+                retry_jitter_seed: 11,
+            },
+            serving: ServingConfig {
+                publish_every_clusters: 6,
+                publish_every_windows: 7,
+                cache_shards: 2,
+                cache_capacity: 99,
+                cache: false,
+            },
+            ..MonitorConfig::default()
+        };
+        config.params.delta_t_minutes = 20;
+        config.params.min_event_records = 3;
+        config.params.delta_d_miles = 2.25;
+        config.params.delta_s = 0.07;
+        config.params.delta_sim = 0.35;
+        config.params.parallelism = 2;
+        let mut audit = SourceConfig::for_domain(Domain::Audit);
+        audit.actor_count = 40;
+        audit.hot_actor_ratio = 0.2;
+        audit.hot_actor_share = 0.7;
+        audit.incident_rate = 1.5;
+        let mut infra = SourceConfig::for_domain(Domain::Infrastructure);
+        infra.sites = 6;
+        infra.fault_rate = 1.75;
+        infra.cascade_share = 0.5;
+        // Shedding needs `overflow = "block"`, so "drop" gets its own config.
+        let mut configs = vec![MonitorConfig {
+            overflow: OverflowPolicy::Drop,
+            ..MonitorConfig::default()
+        }];
+        for source in [audit, infra] {
+            config.source = source;
+            configs.push(config.clone());
+        }
+        let default = MonitorConfig::default().to_toml();
+        let mut changed = std::collections::BTreeSet::new();
+        for config in &configs {
+            let text = config.to_toml();
+            let reparsed = MonitorConfig::from_toml_str(&text).unwrap();
+            assert_eq!(reparsed.to_toml(), text);
+            let mut section = "";
+            for line in text.lines() {
+                if let Some(name) = line.strip_prefix('[') {
+                    section = name.trim_end_matches(']');
+                } else if !line.is_empty() && !default.lines().any(|d| d == line) {
+                    let key = line.split(" = ").next().unwrap();
+                    changed.insert(format!("{section}.{key}"));
+                }
+            }
+        }
+        assert_eq!(KEYS.len(), 45, "no key added or removed");
+        assert_eq!(
+            changed.len(),
+            KEYS.len(),
+            "keys left at default: {changed:?}"
+        );
     }
 }

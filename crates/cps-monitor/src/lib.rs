@@ -8,7 +8,7 @@
 //! *bounded* channel (real backpressure, or an explicit drop counter), and
 //! a merger thread reconciles the events that straddle shard boundaries so
 //! the resulting micro-clusters equal the single-extractor ones — see
-//! [`merger`] for the argument and the `shard_equivalence` test for the
+//! the `merger` module for the argument and the `shard_equivalence` test for the
 //! property-based check.
 //!
 //! On top of reconciliation the merger keeps the query side of the paper
@@ -32,6 +32,7 @@ mod merger;
 pub mod metrics;
 pub mod service;
 pub mod shard;
+mod step;
 
 pub use admission::{DeadLetterBuffer, QuarantineReason, QuarantinedRecord};
 pub use config::{

@@ -155,15 +155,25 @@ pub(crate) struct Merger {
 }
 
 impl Merger {
-    pub(crate) fn new(
+    /// Restores a merger from its checkpoint part ([`MergerCkpt::default`]
+    /// for a fresh start). Compaction note: the
+    /// checkpoint stores one record list per union-find component; a
+    /// single restored slot per component is behavior-equivalent to the
+    /// original slots because (a) finalize sorts records before building
+    /// the event, (b) the component's boundary-record set — what future
+    /// unions and `component_closed` consult — is preserved, and (c)
+    /// `boundary_last`/`min_window` are recomputed maxima/minima over the
+    /// same records.
+    pub(crate) fn restore(
         shared: Arc<SharedState>,
         map: Arc<ShardMap>,
         info: Arc<BoundaryInfo>,
         max_gap: u32,
         live: LiveState,
+        ckpt: &MergerCkpt,
     ) -> Self {
         let shards = map.num_shards();
-        Self {
+        let mut merger = Self {
             shared,
             live,
             map,
@@ -181,26 +191,7 @@ impl Merger {
             clusters_since_publish: 0,
             windows_since_publish: 0,
             global_window: None,
-        }
-    }
-
-    /// Restores a merger from its checkpoint part. Compaction note: the
-    /// checkpoint stores one record list per union-find component; a
-    /// single restored slot per component is behavior-equivalent to the
-    /// original slots because (a) finalize sorts records before building
-    /// the event, (b) the component's boundary-record set — what future
-    /// unions and `component_closed` consult — is preserved, and (c)
-    /// `boundary_last`/`min_window` are recomputed maxima/minima over the
-    /// same records.
-    pub(crate) fn restore(
-        shared: Arc<SharedState>,
-        map: Arc<ShardMap>,
-        info: Arc<BoundaryInfo>,
-        max_gap: u32,
-        live: LiveState,
-        ckpt: &MergerCkpt,
-    ) -> Self {
-        let mut merger = Self::new(shared, map, info, max_gap, live);
+        };
         for (shard, &(clock, open_floor, boundary_floor, done)) in ckpt.progress.iter().enumerate()
         {
             merger.clock[shard] = clock;

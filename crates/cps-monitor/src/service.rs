@@ -2,9 +2,9 @@
 //! [`MonitorHandle`] read facade.
 //!
 //! ```text
-//!                      ┌─ bounded channel ─ worker 0 (OnlineExtractor) ─┐
-//!  ingest ── ShardMap ─┼─ bounded channel ─ worker 1 (OnlineExtractor) ─┼─ merger ─ live state
-//!                      └─ bounded channel ─ worker N (OnlineExtractor) ─┘      └──── ForestStore
+//!                      ┌─ bounded channel ─ worker 0 (ShardStep) ─┐
+//!  ingest ── ShardMap ─┼─ bounded channel ─ worker 1 (ShardStep) ─┼─ merger ─ live state
+//!                      └─ bounded channel ─ worker N (ShardStep) ─┘      └──── ForestStore
 //! ```
 //!
 //! Records are routed to the shard owning their sensor; window advances
@@ -19,13 +19,13 @@
 //! ([`MonitorService::ingest`] is the same call for one record): one
 //! admission pass splits a struct-of-arrays [`RecordBatch`] into per-shard
 //! sub-batches, one channel send per shard delivers them
-//! ([`OnlineExtractor::apply_batch`] hoists the window-advance and seal
+//! (`OnlineExtractor::apply_batch` hoists the window-advance and seal
 //! checks out of the per-record loop), and one WAL frame per shard
 //! amortizes the CRC, `Io` write, and (group-commit) fsync across the
 //! whole sub-batch. Window-advance broadcasts collapse to at most one per
 //! call. The resulting cluster state does not depend on how the feed is
 //! cut into batches — every batch size equals one in-order
-//! [`OnlineExtractor`] (see `tests/ingest_batch_differential.rs`); only
+//! `OnlineExtractor` (see `tests/ingest_batch_differential.rs`); only
 //! cadence counters (snapshot publications, WAL appends) differ.
 //!
 //! ## One way out
@@ -61,22 +61,24 @@
 //! With `durability.respawn_budget > 0`, a dead shard worker is rebuilt
 //! in place from checkpoint + WAL replay and the failed send retried;
 //! the budget spent, the shard is typed permanently failed.
+//!
+//! [`MonitorService::start`] is recovery from nothing: one launch path
+//! builds both, and live, recovered and respawned shards run one shard
+//! step through one WAL replay (the `step` module).
 
 use crate::admission::{DeadLetterBuffer, QuarantineReason, QuarantinedRecord};
-use crate::config::{
-    AdmissionConfig, DurabilityConfig, FaultConfig, FsyncPolicy, MonitorConfig, OverflowPolicy,
-    ServingConfig,
-};
+use crate::config::{FsyncPolicy, MonitorConfig, OverflowPolicy, ServingConfig};
 use crate::durability::{
     checkpoint_path, encode_batch_entry, encode_entry, load_checkpoint, read_wal_suffix,
-    shard_wal_dir, write_checkpoint, CheckpointDoc, ShardCkpt, WalOp,
+    shard_wal_dir, write_checkpoint, CheckpointDoc, ShardCkpt, WalEntry, WalOp,
 };
 use crate::error::MonitorError;
 use crate::live::LiveState;
 use crate::merger::{Merger, MergerMsg};
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::shard::{BoundaryInfo, ShardMap};
-use atypical::online::{OnlineExtractor, OutOfOrderRecord, SealedRawEvent};
+use crate::shard::{BoundaryInfo, EpochChain, ShardMap};
+use crate::step::{replay, ShardStep};
+use atypical::online::OutOfOrderRecord;
 use atypical::store::ForestStore;
 use cps_core::{AtypicalRecord, Params, RecordBatch, SensorId, TimeWindow, WindowSpec};
 use cps_geo::grid::{SensorPartition, UniformGrid};
@@ -85,9 +87,9 @@ use cps_index::st_index::max_gap_windows;
 pub use cps_serve::GuidedQuery;
 use cps_serve::{ReadView, ServeContext, ServeHandle, ServeState};
 use cps_storage::wal::{repair_tail, truncate_segments_below, SyncPolicy, WalWriter};
-use cps_storage::{Io, RetryIo};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
-use std::collections::HashSet;
+use cps_storage::{Io, RetryIo, RetryStats};
+use crossbeam::channel::{bounded, unbounded, SendError, Sender, TrySendError};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -113,17 +115,18 @@ pub(crate) struct SharedState {
     pub(crate) serving: ServingConfig,
     pub(crate) started: Instant,
     /// Per-shard count of sealed events actually handed to the merger.
-    /// Checkpoints record it so respawn replay can suppress regenerated
-    /// events the merger already holds.
+    /// Respawn replay reads it to suppress regenerated events the merger
+    /// already holds.
     pub(crate) sealed_sent: Vec<AtomicU64>,
 }
 
 /// Ingest → worker protocol.
 enum WorkerMsg {
     /// A whole per-shard sub-batch, applied through
-    /// [`OnlineExtractor::apply_batch`]. Records may span windows; the
-    /// extractor's clock advances internally, and sealed events drain at
-    /// the next advance exactly as they would between records.
+    /// [`atypical::online::OnlineExtractor::apply_batch`]. Records may span
+    /// windows; the extractor's clock advances internally, and sealed
+    /// events drain at the next advance exactly as they would between
+    /// records.
     ///
     /// `advance`, when set, is the flush's window broadcast piggybacked on
     /// the sub-batch: the worker behaves exactly as if an `Advance` message
@@ -138,11 +141,10 @@ enum WorkerMsg {
     },
     Advance(TimeWindow),
     /// Quiescent-checkpoint barrier. The worker flushes its pending sealed
-    /// events to the merger, then replies with its clock and open-event
-    /// records; because the channel is FIFO, the reply proves every prior
-    /// message is applied.
+    /// events to the merger, then replies with its state; because the
+    /// channel is FIFO, the reply proves every prior message is applied.
     Checkpoint {
-        reply: Sender<(TimeWindow, Vec<Vec<AtypicalRecord>>)>,
+        reply: Sender<ShardCkpt>,
     },
     /// Shard-map epoch barrier: adopt the accumulated boundary predicate,
     /// re-report floors to the merger under it, then ack. FIFO means the
@@ -162,26 +164,16 @@ enum WorkerMsg {
 /// metrics.
 pub struct MonitorService {
     shared: Arc<SharedState>,
-    map: Arc<ShardMap>,
-    /// Boundary predicate accumulated over every shard-map epoch so far
-    /// (epoch 0 = the initial map); what workers and the merger reconcile
-    /// on. Grows monotonically — see [`BoundaryInfo`].
-    boundary: Arc<BoundaryInfo>,
-    /// Cuts of every committed rebalance epoch, oldest first (the current
-    /// map is built from the last entry). Checkpointed so recovery
-    /// rebuilds the same chain.
-    epoch_cuts: Vec<Vec<u32>>,
-    overflow: OverflowPolicy,
-    channel_capacity: usize,
-    faults: FaultConfig,
-    admission: AdmissionConfig,
+    config: MonitorConfig,
+    /// The shard map routing new records and the boundary predicate
+    /// workers and the merger reconcile on, over every epoch so far.
+    epochs: EpochChain,
     /// Diverted records with their typed reasons (`admission.quarantine`);
     /// ingest is `&mut self`, so no lock is needed.
     dead_letter: DeadLetterBuffer,
     /// Sensors already accepted in the current window (`admission.dedup`);
     /// cleared on every clock advance.
     seen_in_window: HashSet<u32>,
-    durability: DurabilityConfig,
     io: Io,
     senders: Vec<Sender<WorkerMsg>>,
     workers: Vec<Option<JoinHandle<()>>>,
@@ -215,10 +207,6 @@ pub struct MonitorService {
     advance_fused: Vec<bool>,
     /// Scratch buffer for batch WAL frames.
     batch_buf: Vec<u8>,
-    /// `rebalance_interval_records` from the config (0 = off).
-    rebalance_interval: u64,
-    /// `rebalance_skew` from the config.
-    rebalance_skew: f64,
     /// Per-sensor record counts since the last rebalance decision.
     sensor_counts: Vec<u64>,
     /// Records counted toward the next rebalance decision.
@@ -256,71 +244,37 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn sync_policy(d: &DurabilityConfig) -> SyncPolicy {
-    match d.fsync {
-        FsyncPolicy::Always => SyncPolicy::Always,
-        FsyncPolicy::Never => SyncPolicy::Never,
-        FsyncPolicy::Group => SyncPolicy::EveryN(d.group_commit_records),
-    }
-}
-
-fn kill_after_for(faults: &FaultConfig, shard: usize) -> Option<u64> {
-    faults
+/// Spawns shard `shard`'s worker thread — one [`ShardStep`] resuming from
+/// `state`, reporting to `merger_tx` — and returns its channel.
+fn spawn_worker(
+    config: &MonitorConfig,
+    shard: usize,
+    shared: &Arc<SharedState>,
+    boundary: &Arc<BoundaryInfo>,
+    merger_tx: &Sender<MergerMsg>,
+    state: ShardCkpt,
+) -> Result<(Sender<WorkerMsg>, JoinHandle<()>), String> {
+    let (shared, boundary, merger_tx) = (shared.clone(), boundary.clone(), merger_tx.clone());
+    let faults = &config.faults;
+    let kill_after = faults
         .kill_worker
         .filter(|k| k.shard == shard)
-        .map(|k| k.after_records)
-}
-
-fn jitter_for(faults: &FaultConfig, shard: usize) -> Option<u64> {
-    faults
+        .map(|k| k.after_records);
+    let mut jitter = faults
         .jitter_seed
-        .map(|seed| seed ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-/// Everything one shard worker thread needs.
-struct WorkerSpawn {
-    shard: usize,
-    rx: Receiver<WorkerMsg>,
-    network: Arc<RoadNetwork>,
-    /// Boundary predicate for merger floor reports; swapped in place by
-    /// [`WorkerMsg::Rebalance`].
-    boundary: Arc<BoundaryInfo>,
-    shared: Arc<SharedState>,
-    merger_tx: Sender<MergerMsg>,
-    kill_after: Option<u64>,
-    jitter: Option<u64>,
-    /// Checkpointed extractor state to restore before consuming messages
-    /// (clock + open-event records); `None` starts fresh.
-    restore: Option<(TimeWindow, Vec<Vec<AtypicalRecord>>)>,
-}
-
-fn spawn_worker(ctx: WorkerSpawn) -> Result<JoinHandle<()>, String> {
-    let WorkerSpawn {
-        shard,
-        rx,
-        network,
-        mut boundary,
-        shared,
-        merger_tx,
-        kill_after,
-        mut jitter,
-        restore,
-    } = ctx;
-    std::thread::Builder::new()
+        .map(|seed| seed ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    shared.sealed_sent[shard].store(state.sealed_sent, Ordering::Relaxed);
+    let (tx, rx) = bounded::<WorkerMsg>(config.channel_capacity);
+    let worker = std::thread::Builder::new()
         .name(format!("cps-monitor-shard-{shard}"))
         .spawn(move || {
-            let (params, spec) = (shared.params, shared.spec);
-            let mut extractor = OnlineExtractor::new(&network, params, spec);
-            extractor.retain_raw_events(true);
-            if let Some((clock, open)) = restore {
-                extractor.restore_open_events(clock, open);
-            }
-            let send_sealed = |events: Vec<SealedRawEvent>| {
-                if !events.is_empty() {
-                    let n = events.len() as u64;
-                    let _ = merger_tx.send(MergerMsg::Sealed { events });
-                    shared.sealed_sent[shard].fetch_add(n, Ordering::Relaxed);
+            let mut step = ShardStep::restore(shard, &shared, boundary, state);
+            let mut emit = |msg: MergerMsg| {
+                if let MergerMsg::Sealed { events } = &msg {
+                    let sealed = events.len() as u64;
+                    shared.sealed_sent[shard].fetch_add(sealed, Ordering::Relaxed);
                 }
+                let _ = merger_tx.send(msg);
             };
             let mut records_processed = 0u64;
             while let Ok(msg) = rx.recv() {
@@ -335,95 +289,55 @@ fn spawn_worker(ctx: WorkerSpawn) -> Result<JoinHandle<()>, String> {
                     }
                 }
                 match msg {
-                    WorkerMsg::Batch { records, advance } => {
-                        if let Some(n) = kill_after {
-                            // Fault hook, record-granular so the death
-                            // point does not depend on batch size: die
-                            // abruptly — skip the drain/Done epilogue
-                            // exactly as a crashed thread would. Per
-                            // incarnation: a respawned worker dies again
-                            // after `after_records` more records, so a
-                            // long enough feed deterministically exhausts
-                            // any respawn budget.
-                            for i in 0..records.len() {
-                                if records_processed >= n {
-                                    shared.metrics.set_queue_depth(shard, 0);
-                                    return;
-                                }
-                                records_processed += 1;
-                                if extractor.push(records.get(i)).is_err() {
-                                    debug_assert!(false, "service clock admitted a stale record");
-                                }
-                            }
-                        } else {
-                            records_processed += records.len() as u64;
-                            if extractor.apply_batch(&records).is_err() {
-                                debug_assert!(false, "service clock admitted a stale batch");
-                            }
+                    WorkerMsg::Batch {
+                        mut records,
+                        advance,
+                    } => {
+                        // Fault hook, record-granular so the death point
+                        // does not depend on batch size: apply the prefix
+                        // up to the limit, then die abruptly — skip the
+                        // drain/Done epilogue exactly as a crashed thread
+                        // would. Per incarnation: a respawned worker dies
+                        // again after `after_records` more records, so a
+                        // long enough feed deterministically exhausts any
+                        // respawn budget.
+                        let room = kill_after.map_or(u64::MAX, |n| n - records_processed);
+                        let dies = records.len() as u64 > room;
+                        if dies {
+                            records.windows.truncate(room as usize);
+                            records.sensors.truncate(room as usize);
+                            records.severities.truncate(room as usize);
+                        }
+                        records_processed += records.len() as u64;
+                        if step.apply(&records).is_err() {
+                            debug_assert!(false, "service clock admitted a stale batch");
+                        }
+                        if dies {
+                            shared.metrics.set_queue_depth(shard, 0);
+                            return;
                         }
                         // Piggybacked window broadcast — identical to an
                         // `Advance` message arriving right after this one.
                         if let Some(window) = advance {
-                            extractor.advance_to(window);
-                            send_sealed(extractor.drain_sealed_raw());
-                            let (open_floor, boundary_floor) =
-                                extractor.open_floors(|s| boundary.is_boundary(s));
-                            let _ = merger_tx.send(MergerMsg::Clock {
-                                shard,
-                                window,
-                                open_floor,
-                                boundary_floor,
-                            });
+                            step.advance(window, &mut emit);
                         }
                     }
-                    WorkerMsg::Advance(window) => {
-                        extractor.advance_to(window);
-                        send_sealed(extractor.drain_sealed_raw());
-                        let (open_floor, boundary_floor) =
-                            extractor.open_floors(|s| boundary.is_boundary(s));
-                        let _ = merger_tx.send(MergerMsg::Clock {
-                            shard,
-                            window,
-                            open_floor,
-                            boundary_floor,
-                        });
-                    }
-                    WorkerMsg::Rebalance {
-                        boundary: new_info,
-                        reply,
-                    } => {
-                        boundary = new_info;
-                        // Floors can only widen (the predicate grows), so
-                        // re-reporting under the new info is conservative;
-                        // the window repeats the last Advance (FIFO puts
-                        // that Advance before this barrier), never
-                        // regressing the merger's clock.
-                        let (open_floor, boundary_floor) =
-                            extractor.open_floors(|s| boundary.is_boundary(s));
-                        let _ = merger_tx.send(MergerMsg::Clock {
-                            shard,
-                            window: extractor.current_window(),
-                            open_floor,
-                            boundary_floor,
-                        });
+                    WorkerMsg::Advance(window) => step.advance(window, &mut emit),
+                    WorkerMsg::Rebalance { boundary, reply } => {
+                        step.adopt(boundary, &mut emit);
                         let _ = reply.send(());
                     }
                     WorkerMsg::Checkpoint { reply } => {
-                        // Flush events sealed by record pushes since the
-                        // last advance: the merger barrier that follows
-                        // must cover them, and the open-event export
-                        // below does not.
-                        send_sealed(extractor.drain_sealed_raw());
-                        let _ = reply
-                            .send((extractor.current_window(), extractor.export_open_events()));
+                        let _ = reply.send(step.export(&mut emit));
                     }
                 }
             }
             shared.metrics.set_queue_depth(shard, 0);
-            send_sealed(extractor.finish_raw());
+            step.finish(&mut emit);
             let _ = merger_tx.send(MergerMsg::Done { shard });
         })
-        .map_err(|e| format!("spawning shard worker {shard}: {e}"))
+        .map_err(|e| format!("spawning shard worker {shard}: {e}"))?;
+    Ok((tx, worker))
 }
 
 impl MonitorService {
@@ -441,9 +355,6 @@ impl MonitorService {
         io: Io,
     ) -> Result<Self, String> {
         config.validate()?;
-        // Every file operation below (and for the life of the service)
-        // goes through the retry layer; transparent when retries are off.
-        let (io, retry_stats) = RetryIo::wrap(io, config.durability.retry_policy());
         if let Some(wal_dir) = &config.durability.wal_dir {
             let has_state = checkpoint_path(wal_dir).exists()
                 || std::fs::read_dir(wal_dir).is_ok_and(|mut d| d.next().is_some());
@@ -455,77 +366,10 @@ impl MonitorService {
                 ));
             }
         }
-        let live = LiveState::new(&config.params);
-        let (shared, map, max_gap, live) = Self::scaffold(config, &network, &io, live)?;
-        shared.metrics.set_retry_stats(retry_stats);
-        shared
-            .metrics
-            .set_degrade_stats(shared.serve.degrade_stats().clone());
-        let boundary = Arc::new(BoundaryInfo::from_map(&map));
-
-        // Merger input is unbounded: its producers are the bounded-channel
-        // workers, so it is already flow-controlled by the record channels.
-        let (merger_tx, merger_rx) = unbounded::<MergerMsg>();
-        let merger = Merger::new(shared.clone(), map.clone(), boundary.clone(), max_gap, live);
-        let merger = std::thread::Builder::new()
-            .name("cps-monitor-merger".to_string())
-            .spawn(move || merger.run(merger_rx))
-            .map_err(|e| format!("spawning merger: {e}"))?;
-
-        let writers = Self::open_writers(config, &io)?;
-        let mut senders = Vec::with_capacity(config.shards);
-        let mut workers = Vec::with_capacity(config.shards);
-        for shard in 0..config.shards {
-            let (tx, rx) = bounded::<WorkerMsg>(config.channel_capacity);
-            senders.push(tx);
-            workers.push(Some(spawn_worker(WorkerSpawn {
-                shard,
-                rx,
-                network: network.clone(),
-                boundary: boundary.clone(),
-                shared: shared.clone(),
-                merger_tx: merger_tx.clone(),
-                kill_after: kill_after_for(&config.faults, shard),
-                jitter: jitter_for(&config.faults, shard),
-                restore: None,
-            })?));
-        }
-
-        let num_sensors = network.num_sensors();
-        Ok(Self {
-            shared,
-            map,
-            boundary,
-            epoch_cuts: Vec::new(),
-            overflow: config.overflow,
-            channel_capacity: config.channel_capacity,
-            faults: config.faults,
-            admission: config.admission,
-            dead_letter: DeadLetterBuffer::new(config.admission.quarantine_capacity),
-            seen_in_window: HashSet::new(),
-            durability: config.durability.clone(),
-            io,
-            senders,
-            workers,
-            merger: Some(merger),
-            merger_tx: Some(merger_tx),
-            writers,
-            wal_seq: 0,
-            records_since_ck: 0,
-            ckpt_base: None,
-            respawns_used: vec![0; config.shards],
-            current_window: None,
-            dead: vec![false; config.shards],
-            failed: vec![false; config.shards],
-            ingest_seq: 0,
-            pending: vec![RecordBatch::new(); config.shards],
-            advance_fused: vec![false; config.shards],
-            batch_buf: Vec::new(),
-            rebalance_interval: config.rebalance_interval_records,
-            rebalance_skew: config.rebalance_skew,
-            sensor_counts: vec![0; num_sensors],
-            records_since_rb: 0,
-        })
+        // Every file operation (for the life of the service) goes through
+        // the retry layer; transparent when retries are off.
+        let io = RetryIo::wrap(io, config.durability.retry_policy());
+        Self::launch(config, network, io, None, &[], 0)
     }
 
     /// Rebuilds a service from its durable state: the checkpoint (when
@@ -553,12 +397,11 @@ impl MonitorService {
         };
         let base =
             load_checkpoint(&io, &wal_dir).map_err(|e| format!("loading checkpoint: {e}"))?;
-        let had_checkpoint = base.is_some();
-        let base = base.unwrap_or_default();
-        if had_checkpoint && base.shards.len() != config.shards {
+        let base_seq = base.as_ref().map_or(0, |b| b.last_seq);
+        if let Some(b) = base.as_ref().filter(|b| b.shards.len() != config.shards) {
             return Err(format!(
                 "checkpoint has {} shards but the config asks for {}",
-                base.shards.len(),
+                b.shards.len(),
                 config.shards
             ));
         }
@@ -571,7 +414,7 @@ impl MonitorService {
         let mut repaired_tails = 0usize;
         for shard in 0..config.shards {
             let dir = shard_wal_dir(&wal_dir, shard);
-            let (suffix, torn) = read_wal_suffix(&io, &dir, base.last_seq)
+            let (suffix, torn) = read_wal_suffix(&io, &dir, base_seq)
                 .map_err(|e| format!("reading shard {shard} WAL: {e}"))?;
             if torn {
                 repaired_tails += 1;
@@ -583,11 +426,7 @@ impl MonitorService {
         // New appends must clear every sequence number on disk — including
         // the implicit per-record seqs inside batch frames, and frames
         // about to be dropped as incomplete below.
-        let mut max_seq = base.last_seq;
-        for (_, e) in &entries {
-            let end = e.seq + e.op.records().len().saturating_sub(1) as u64;
-            max_seq = max_seq.max(end);
-        }
+        //
         // Drop every frame of an incomplete flush (see the grammar notes
         // in `durability`): a crash mid-flush leaves a shard-grouped
         // subset of a feed-contiguous batch, so replaying the survivors
@@ -595,16 +434,17 @@ impl MonitorService {
         // Checkpoints only run between flushes, so a flush never straddles
         // `base.last_seq`. The missing frames are never written later,
         // hence repeated recoveries drop the same set deterministically.
-        let mut flush_counts: std::collections::HashMap<u64, u64> =
-            std::collections::HashMap::new();
+        let mut max_seq = base_seq;
+        let mut flush_counts = HashMap::new();
         for (_, e) in &entries {
+            max_seq = max_seq.max(e.seq + e.op.records().len().saturating_sub(1) as u64);
             if let WalOp::Batch {
                 flush_first,
                 records,
                 ..
             } = &e.op
             {
-                *flush_counts.entry(*flush_first).or_insert(0) += records.len() as u64;
+                *flush_counts.entry(*flush_first).or_insert(0u64) += records.len() as u64;
             }
         }
         entries.retain(|(_, e)| match &e.op {
@@ -616,172 +456,85 @@ impl MonitorService {
             _ => true,
         });
 
-        let live = if had_checkpoint {
-            LiveState::restore(&config.params, &base.live)
-        } else {
-            LiveState::new(&config.params)
-        };
-        let (shared, map, max_gap, live) = Self::scaffold(config, &network, &io, live)?;
-        shared.metrics.set_retry_stats(retry_stats);
-        shared
+        let had_checkpoint = base.is_some();
+        let base_ingest_seq = base.as_ref().map_or(0, |b| b.ingest_seq);
+        let service = Self::launch(config, network, (io, retry_stats), base, &entries, max_seq)?;
+        service
+            .shared
             .metrics
-            .set_degrade_stats(shared.serve.degrade_stats().clone());
-        // Rebuild the checkpointed shard-map chain: the final map routes
-        // new records, while the boundary info accumulates every epoch so
+            .recoveries
+            .store(1, Ordering::Relaxed);
+        let report = RecoveryReport {
+            had_checkpoint,
+            checkpoint_seq: base_seq,
+            replayed_entries: entries.len(),
+            replayed_records: service.ingest_seq - base_ingest_seq,
+            repaired_tails,
+            resume_from: service.ingest_seq,
+        };
+        Ok((service, report))
+    }
+
+    /// Builds the running service from a checkpoint (`None`: from nothing)
+    /// plus the WAL `entries` logged past it. Restores the live state, the
+    /// shard-map chain and the merger; replays `entries` on this thread,
+    /// the merger applied inline in send order; then starts the merger and
+    /// one worker per shard from the replayed shard states. New WAL appends
+    /// take sequence numbers past `wal_seq`.
+    fn launch(
+        config: &MonitorConfig,
+        network: Arc<RoadNetwork>,
+        (io, retry_stats): (Io, Arc<RetryStats>),
+        base: Option<CheckpointDoc>,
+        entries: &[(usize, WalEntry)],
+        wal_seq: u64,
+    ) -> Result<Self, String> {
+        let (params, spec) = (config.params, config.spec);
+        // A fresh live state, not one restored from a default checkpoint:
+        // cluster ids start at 1, a default checkpoint's `next_id` at 0.
+        let mut live = match &base {
+            Some(ck) => LiveState::restore(&params, &ck.live),
+            None => LiveState::new(&params),
+        };
+        let shared = Self::scaffold(config, &network, &io, &mut live)?;
+        shared.metrics.set_retry_stats(retry_stats);
+        let nothing = CheckpointDoc::default();
+        let ck = base.as_ref().unwrap_or(&nothing);
+
+        // The checkpointed shard-map chain: the final map routes new
+        // records, while the boundary info accumulates every epoch so
         // pre-rebalance pending events still reconcile.
-        let mut map = map;
-        let mut boundary_info = BoundaryInfo::from_map(&map);
-        let mut epoch_cuts: Vec<Vec<u32>> = Vec::new();
-        for cuts in &base.epochs {
-            let next = Arc::new(ShardMap::build_with_cuts(
-                &network,
-                cuts,
-                config.params.delta_d_miles,
-            ));
-            boundary_info.accumulate(&map, &next);
-            map = next;
-            epoch_cuts.push(cuts.clone());
+        let mut epochs = EpochChain::new(network.clone(), config.shards, params.delta_d_miles);
+        for cuts in &ck.epochs {
+            let next = epochs.successor(cuts);
+            epochs.commit(next, cuts);
         }
-        let mut boundary = Arc::new(boundary_info);
         let mut merger = Merger::restore(
             shared.clone(),
-            map.clone(),
-            boundary.clone(),
-            max_gap,
+            epochs.map.clone(),
+            epochs.boundary.clone(),
+            max_gap_windows(&params, spec),
             live,
-            &base.merger,
+            &ck.merger,
         );
+        let mut steps: Vec<ShardStep> = (0..config.shards)
+            .map(|shard| {
+                let state = ck.shards.get(shard).cloned().unwrap_or_default();
+                ShardStep::restore(shard, &shared, epochs.boundary.clone(), state)
+            })
+            .collect();
+        let mut apply = |msg| merger.apply(msg);
+        let chain = Some(&mut epochs);
+        let current_window = replay(entries, &mut steps, chain, ck.current_window, &mut apply);
+        let states: Vec<ShardCkpt> = steps.iter_mut().map(|s| s.export(&mut apply)).collect();
+        let replayed: u64 = entries
+            .iter()
+            .map(|(_, e)| e.op.records().len() as u64)
+            .sum();
+        let ingest_seq = ck.ingest_seq + replayed;
 
-        // Single-threaded replay: one restored extractor per shard, the
-        // merger applied inline in send order. `push` advances the clock
-        // exactly like the worker's advance-then-push, so the replayed
-        // state is the state the workers would have reached.
-        let mut current_window = base.current_window;
-        let mut sealed_replayed = vec![0u64; config.shards];
-        let mut replayed_records = 0u64;
-        let restores: Vec<(TimeWindow, Vec<Vec<AtypicalRecord>>)> = {
-            let mut extractors: Vec<OnlineExtractor> = (0..config.shards)
-                .map(|shard| {
-                    let mut e = OnlineExtractor::new(&network, config.params, config.spec);
-                    e.retain_raw_events(true);
-                    if let Some(sc) = base.shards.get(shard) {
-                        e.restore_open_events(sc.clock, sc.open.clone());
-                    }
-                    e
-                })
-                .collect();
-            let apply_drained = |merger: &mut Merger,
-                                 extractor: &mut OnlineExtractor,
-                                 shard: usize,
-                                 window: TimeWindow,
-                                 info: &BoundaryInfo,
-                                 sealed_replayed: &mut [u64]| {
-                let events = extractor.drain_sealed_raw();
-                if !events.is_empty() {
-                    sealed_replayed[shard] += events.len() as u64;
-                    merger.apply(MergerMsg::Sealed { events });
-                }
-                let (open_floor, boundary_floor) = extractor.open_floors(|s| info.is_boundary(s));
-                merger.apply(MergerMsg::Clock {
-                    shard,
-                    window,
-                    open_floor,
-                    boundary_floor,
-                });
-            };
-            for (shard, entry) in &entries {
-                let shard = *shard;
-                match &entry.op {
-                    WalOp::Record(_) | WalOp::Batch { .. } => {
-                        for &record in entry.op.records() {
-                            replayed_records += 1;
-                            if current_window.is_none_or(|w| record.window > w) {
-                                current_window = Some(record.window);
-                            }
-                            let _ = extractors[shard].push(record);
-                        }
-                    }
-                    WalOp::Advance(window) => {
-                        let window = *window;
-                        if current_window.is_none_or(|w| window > w) {
-                            current_window = Some(window);
-                        }
-                        extractors[shard].advance_to(window);
-                        apply_drained(
-                            &mut merger,
-                            &mut extractors[shard],
-                            shard,
-                            window,
-                            &boundary,
-                            &mut sealed_replayed,
-                        );
-                    }
-                    WalOp::Rebalance { epoch, cuts } => {
-                        // Logged to every shard, so each epoch appears up
-                        // to `shards` times; apply the first copy, skip
-                        // the rest by epoch number.
-                        if *epoch != epoch_cuts.len() as u64 + 1 {
-                            continue;
-                        }
-                        let next = Arc::new(ShardMap::build_with_cuts(
-                            &network,
-                            cuts,
-                            config.params.delta_d_miles,
-                        ));
-                        let mut info = (*boundary).clone();
-                        info.accumulate(&map, &next);
-                        let info = Arc::new(info);
-                        map = next;
-                        boundary = info.clone();
-                        // Mirror the live barrier: every worker's floors
-                        // under the new predicate reach the merger before
-                        // the epoch itself.
-                        for (s, extractor) in extractors.iter_mut().enumerate() {
-                            let (open_floor, boundary_floor) =
-                                extractor.open_floors(|sn| info.is_boundary(sn));
-                            merger.apply(MergerMsg::Clock {
-                                shard: s,
-                                window: extractor.current_window(),
-                                open_floor,
-                                boundary_floor,
-                            });
-                        }
-                        merger.apply(MergerMsg::Rebalance {
-                            boundary: info.clone(),
-                        });
-                        epoch_cuts.push(cuts.clone());
-                    }
-                }
-            }
-            // Catch-up: a crash mid-broadcast leaves some shards without
-            // the final advance entry. Align every clock to the global
-            // window, exactly as the completed broadcast would have. Not
-            // logged — any later recovery re-derives it from the same
-            // entries.
-            if let Some(window) = current_window {
-                for (shard, extractor) in extractors.iter_mut().enumerate() {
-                    extractor.advance_to(window);
-                    apply_drained(
-                        &mut merger,
-                        extractor,
-                        shard,
-                        window,
-                        &boundary,
-                        &mut sealed_replayed,
-                    );
-                }
-            }
-            extractors
-                .iter()
-                .map(|e| (e.current_window(), e.export_open_events()))
-                .collect()
-        };
-        for (shard, &replayed) in sealed_replayed.iter().enumerate() {
-            let sent = base.shards.get(shard).map_or(0, |s| s.sealed_sent) + replayed;
-            shared.sealed_sent[shard].store(sent, Ordering::Relaxed);
-        }
-        shared.metrics.recoveries.store(1, Ordering::Relaxed);
-
+        // Merger input is unbounded: its producers are the bounded-channel
+        // workers, so it is already flow-controlled by the record channels.
         let (merger_tx, merger_rx) = unbounded::<MergerMsg>();
         let merger = std::thread::Builder::new()
             .name("cps-monitor-merger".to_string())
@@ -794,53 +547,28 @@ impl MonitorService {
         let writers = Self::open_writers(config, &io)?;
         let mut senders = Vec::with_capacity(config.shards);
         let mut workers = Vec::with_capacity(config.shards);
-        for (shard, restore) in restores.into_iter().enumerate() {
-            let (tx, rx) = bounded::<WorkerMsg>(config.channel_capacity);
+        for (shard, state) in states.into_iter().enumerate() {
+            let (tx, worker) =
+                spawn_worker(config, shard, &shared, &epochs.boundary, &merger_tx, state)?;
             senders.push(tx);
-            workers.push(Some(spawn_worker(WorkerSpawn {
-                shard,
-                rx,
-                network: network.clone(),
-                boundary: boundary.clone(),
-                shared: shared.clone(),
-                merger_tx: merger_tx.clone(),
-                kill_after: kill_after_for(&config.faults, shard),
-                jitter: jitter_for(&config.faults, shard),
-                restore: Some(restore),
-            })?));
+            workers.push(Some(worker));
         }
 
-        let ingest_seq = base.ingest_seq + replayed_records;
-        let report = RecoveryReport {
-            had_checkpoint,
-            checkpoint_seq: base.last_seq,
-            replayed_entries: entries.len(),
-            replayed_records,
-            repaired_tails,
-            resume_from: ingest_seq,
-        };
-        let num_sensors = network.num_sensors();
-        let service = Self {
+        Ok(Self {
             shared,
-            map,
-            boundary,
-            epoch_cuts,
-            overflow: config.overflow,
-            channel_capacity: config.channel_capacity,
-            faults: config.faults,
-            admission: config.admission,
+            config: config.clone(),
+            epochs,
             dead_letter: DeadLetterBuffer::new(config.admission.quarantine_capacity),
             seen_in_window: HashSet::new(),
-            durability: config.durability.clone(),
             io,
             senders,
             workers,
             merger: Some(merger),
             merger_tx: Some(merger_tx),
             writers,
-            wal_seq: max_seq,
+            wal_seq,
             records_since_ck: 0,
-            ckpt_base: had_checkpoint.then_some(base),
+            ckpt_base: base,
             respawns_used: vec![0; config.shards],
             current_window,
             dead: vec![false; config.shards],
@@ -849,29 +577,22 @@ impl MonitorService {
             pending: vec![RecordBatch::new(); config.shards],
             advance_fused: vec![false; config.shards],
             batch_buf: Vec::new(),
-            rebalance_interval: config.rebalance_interval_records,
-            rebalance_skew: config.rebalance_skew,
-            sensor_counts: vec![0; num_sensors],
+            sensor_counts: vec![0; network.num_sensors()],
             records_since_rb: 0,
-        };
-        Ok((service, report))
+        })
     }
 
-    /// Builds the pieces `start_with` and `recover_with` share: shard
-    /// layout, red-zone partition, snapshot store, and the shared state.
+    /// Builds the red-zone partition, the snapshot store, and the shared
+    /// state, with `live` published as epoch 0: empty for a fresh start,
+    /// the restored state for a recovery — readers never see a gap.
     fn scaffold(
         config: &MonitorConfig,
         network: &Arc<RoadNetwork>,
         io: &Io,
-        mut live: LiveState,
-    ) -> Result<(Arc<SharedState>, Arc<ShardMap>, u32, LiveState), String> {
+        live: &mut LiveState,
+    ) -> Result<Arc<SharedState>, String> {
         let params = config.params;
         let spec = config.spec;
-        let map = Arc::new(ShardMap::build(
-            network,
-            config.shards,
-            params.delta_d_miles,
-        ));
         let partition =
             Arc::new(UniformGrid::over(network, config.red_cell_miles).partition(network));
         let store = match &config.snapshot_dir {
@@ -880,9 +601,6 @@ impl MonitorService {
             )),
             None => None,
         };
-        // Epoch 0 carries the initial read model: empty for a fresh start,
-        // the restored state for a recovery — readers never see a gap.
-        let initial = live.publishable(0);
         let serve = Arc::new(ServeState::new(
             ServeContext {
                 partition: partition.clone(),
@@ -891,7 +609,7 @@ impl MonitorService {
                 num_sensors: network.num_sensors() as u32,
                 store: store.clone(),
             },
-            initial,
+            live.publishable(0),
             config.serving.cache_shards,
             config.serving.cache_capacity,
             config.serving.cache,
@@ -912,7 +630,10 @@ impl MonitorService {
             .metrics
             .snapshots_published
             .fetch_add(1, Ordering::Relaxed);
-        Ok((shared, map, max_gap_windows(&params, spec), live))
+        shared
+            .metrics
+            .set_degrade_stats(shared.serve.degrade_stats().clone());
+        Ok(shared)
     }
 
     fn open_writers(config: &MonitorConfig, io: &Io) -> Result<Vec<Option<WalWriter>>, String> {
@@ -920,23 +641,28 @@ impl MonitorService {
         let Some(wal_dir) = &d.wal_dir else {
             return Ok((0..config.shards).map(|_| None).collect());
         };
-        let mut writers = Vec::with_capacity(config.shards);
-        for shard in 0..config.shards {
-            let writer = WalWriter::open(
-                io.clone(),
-                &shard_wal_dir(wal_dir, shard),
-                sync_policy(d),
-                d.segment_bytes,
-            )
-            .map_err(|e| format!("opening shard {shard} WAL: {e}"))?;
-            writers.push(Some(writer));
-        }
-        Ok(writers)
+        let policy = match d.fsync {
+            FsyncPolicy::Always => SyncPolicy::Always,
+            FsyncPolicy::Never => SyncPolicy::Never,
+            FsyncPolicy::Group => SyncPolicy::EveryN(d.group_commit_records),
+        };
+        (0..config.shards)
+            .map(|shard| {
+                WalWriter::open(
+                    io.clone(),
+                    &shard_wal_dir(wal_dir, shard),
+                    policy,
+                    d.segment_bytes,
+                )
+                .map(Some)
+                .map_err(|e| format!("opening shard {shard} WAL: {e}"))
+            })
+            .collect()
     }
 
     /// The shard layout in use.
     pub fn shard_map(&self) -> &ShardMap {
-        &self.map
+        &self.epochs.map
     }
 
     /// A cloneable query facade, valid beyond [`finish`](Self::finish).
@@ -1011,7 +737,7 @@ impl MonitorService {
         if self.quarantine_malformed(&record) {
             return Ok(false);
         }
-        let shard = self.map.shard_of(record.sensor);
+        let shard = self.epochs.map.shard_of(record.sensor);
         if let Some(current) = self.current_window {
             if record.window < current {
                 if self.quarantine_stale(&record, current) {
@@ -1027,7 +753,7 @@ impl MonitorService {
                 });
             }
         }
-        if self.admission.dedup && self.current_window != Some(record.window) {
+        if self.config.admission.dedup && self.current_window != Some(record.window) {
             self.seen_in_window.clear();
         }
         self.current_window = Some(record.window);
@@ -1040,7 +766,7 @@ impl MonitorService {
         // dropped by a full channel.
         let seq = self.ingest_seq;
         self.ingest_seq += 1;
-        if let Some(burst) = self.faults.drop_burst {
+        if let Some(burst) = self.config.faults.drop_burst {
             if seq >= burst.at_record && seq - burst.at_record < burst.len {
                 self.shared
                     .metrics
@@ -1055,7 +781,7 @@ impl MonitorService {
             self.commit_pending(entry_window)?;
             return Err(err);
         }
-        if self.rebalance_interval > 0 {
+        if self.config.rebalance_interval_records > 0 {
             self.sensor_counts[record.sensor.index()] += 1;
             self.records_since_rb += 1;
         }
@@ -1102,117 +828,10 @@ impl MonitorService {
     fn flush_pending_inner(&mut self, advance: Option<TimeWindow>) -> Result<u64, MonitorError> {
         let shards = self.senders.len();
         let mut dropped = 0u64;
-        for f in &mut self.advance_fused {
-            *f = false;
-        }
+        self.advance_fused.fill(false);
         for shard in 0..shards {
-            if self.pending[shard].is_empty() {
-                continue;
-            }
-            match self.overflow {
-                OverflowPolicy::Block if self.admission.shed => {
-                    // Shed policy at batch granularity: a full channel
-                    // sheds the *oldest-window* prefix of the pending
-                    // sub-batch (the feed is window-monotone, so the
-                    // minimal window is a contiguous prefix) and delivery
-                    // retries with the remainder — the newest data
-                    // survives, and phase 2 logs only what the worker
-                    // actually received. Like the Drop policy, the advance
-                    // stays a standalone broadcast: a shed sub-batch must
-                    // not shed the clock with it.
-                    let mut msg = WorkerMsg::Batch {
-                        records: self.pending[shard].clone(),
-                        advance: None,
-                    };
-                    loop {
-                        match self.senders[shard].try_send(msg) {
-                            Ok(()) => break,
-                            Err(TrySendError::Full(_)) => {
-                                let k = {
-                                    let b = &mut self.pending[shard];
-                                    let w0 = b.windows[0];
-                                    let k = b.windows.iter().take_while(|&&w| w == w0).count();
-                                    b.windows.drain(..k);
-                                    b.sensors.drain(..k);
-                                    b.severities.drain(..k);
-                                    k as u64
-                                };
-                                self.shared.metrics.count_shed(shard, k);
-                                dropped += k;
-                                if self.pending[shard].is_empty() {
-                                    break;
-                                }
-                                msg = WorkerMsg::Batch {
-                                    records: self.pending[shard].clone(),
-                                    advance: None,
-                                };
-                            }
-                            Err(TrySendError::Disconnected(returned)) => {
-                                if self.dead[shard] {
-                                    self.mark_dead(shard);
-                                    return Err(MonitorError::WorkerDied { shard });
-                                }
-                                self.respawn(shard)?;
-                                msg = returned;
-                            }
-                        }
-                    }
-                }
-                OverflowPolicy::Block => {
-                    // Blocking delivery is guaranteed, so the flush's
-                    // window advance can ride along; `broadcast_advance`
-                    // skips the channel send (but still logs the WAL
-                    // entry) for fused shards.
-                    let msg = WorkerMsg::Batch {
-                        records: self.pending[shard].clone(),
-                        advance,
-                    };
-                    if self.senders[shard].send(msg).is_err() {
-                        self.respawn(shard)?;
-                        let msg = WorkerMsg::Batch {
-                            records: self.pending[shard].clone(),
-                            advance,
-                        };
-                        if self.senders[shard].send(msg).is_err() {
-                            self.mark_dead(shard);
-                            return Err(MonitorError::WorkerDied { shard });
-                        }
-                    }
-                    self.advance_fused[shard] = advance.is_some();
-                }
-                OverflowPolicy::Drop => {
-                    // A dropped sub-batch must not drop the clock with it,
-                    // so the advance stays a standalone broadcast here.
-                    let mut msg = WorkerMsg::Batch {
-                        records: self.pending[shard].clone(),
-                        advance: None,
-                    };
-                    loop {
-                        match self.senders[shard].try_send(msg) {
-                            Ok(()) => break,
-                            Err(TrySendError::Full(_)) => {
-                                // The whole sub-batch drops; cleared here
-                                // so phase 2 never logs it.
-                                let n = self.pending[shard].len() as u64;
-                                self.shared
-                                    .metrics
-                                    .records_dropped
-                                    .fetch_add(n, Ordering::Relaxed);
-                                dropped += n;
-                                self.pending[shard].clear();
-                                break;
-                            }
-                            Err(TrySendError::Disconnected(returned)) => {
-                                if self.dead[shard] {
-                                    self.mark_dead(shard);
-                                    return Err(MonitorError::WorkerDied { shard });
-                                }
-                                self.respawn(shard)?;
-                                msg = returned;
-                            }
-                        }
-                    }
-                }
+            if !self.pending[shard].is_empty() {
+                dropped += self.deliver(shard, advance)?;
             }
         }
         let flushed: u64 = self.pending.iter().map(|b| b.len() as u64).sum();
@@ -1244,6 +863,77 @@ impl MonitorService {
         Ok(dropped)
     }
 
+    /// Sends `shard`'s pending sub-batch to its worker; returns the records
+    /// a full channel cost. Blocking delivery (`overflow = "block"` without
+    /// `admission.shed`) is guaranteed, so the flush's window advance rides
+    /// along and `broadcast_advance` skips the channel send (but still logs
+    /// the WAL entry) for this shard. The other policies never wait and
+    /// keep the advance a standalone broadcast: a shed or dropped sub-batch
+    /// must not shed the clock with it. On a full channel, shedding drops
+    /// the *oldest-window* prefix (the feed is window-monotone, so the
+    /// minimal window is a contiguous prefix) and retries with the
+    /// remainder — the newest data survives — while `overflow = "drop"`
+    /// drops the whole sub-batch. Either way phase 2 logs only what the
+    /// worker actually received.
+    fn deliver(&mut self, shard: usize, advance: Option<TimeWindow>) -> Result<u64, MonitorError> {
+        let shed = self.config.admission.shed;
+        let blocking = self.config.overflow == OverflowPolicy::Block && !shed;
+        let advance = advance.filter(|_| blocking);
+        let mut lost = 0u64;
+        while !self.pending[shard].is_empty() {
+            let msg = WorkerMsg::Batch {
+                records: self.pending[shard].clone(),
+                advance,
+            };
+            let sent = if blocking {
+                self.senders[shard]
+                    .send(msg)
+                    .map_err(|SendError(msg)| TrySendError::Disconnected(msg))
+            } else {
+                self.senders[shard].try_send(msg)
+            };
+            let pending = &mut self.pending[shard];
+            match sent {
+                Ok(()) => break,
+                Err(TrySendError::Disconnected(msg)) => {
+                    self.resend(shard, msg)?;
+                    break;
+                }
+                Err(TrySendError::Full(_)) if shed => {
+                    let w0 = pending.windows[0];
+                    let k = pending.windows.iter().take_while(|&&w| w == w0).count();
+                    pending.windows.drain(..k);
+                    pending.sensors.drain(..k);
+                    pending.severities.drain(..k);
+                    self.shared.metrics.count_shed(shard, k as u64);
+                    lost += k as u64;
+                }
+                Err(TrySendError::Full(_)) => {
+                    let n = pending.len() as u64;
+                    pending.clear();
+                    self.shared
+                        .metrics
+                        .records_dropped
+                        .fetch_add(n, Ordering::Relaxed);
+                    lost += n;
+                }
+            }
+        }
+        self.advance_fused[shard] = advance.is_some();
+        Ok(lost)
+    }
+
+    /// Respawns `shard`'s dead worker and sends it `msg` once more; a
+    /// second failure leaves the shard dead ([`MonitorError::WorkerDied`]).
+    fn resend(&mut self, shard: usize, msg: WorkerMsg) -> Result<(), MonitorError> {
+        self.respawn(shard)?;
+        if self.senders[shard].send(msg).is_err() {
+            self.mark_dead(shard);
+            return Err(MonitorError::WorkerDied { shard });
+        }
+        Ok(())
+    }
+
     /// Appends one shard's pending sub-batch as a single WAL frame. The
     /// frame consumes one sequence number per record (contiguous from the
     /// frame's entry seq) even if the append fails, mirroring `log_op`.
@@ -1256,9 +946,8 @@ impl MonitorService {
         if self.writers[shard].is_none() {
             return Ok(());
         }
-        let count = self.pending[shard].len() as u64;
         let first = self.wal_seq + 1;
-        self.wal_seq += count;
+        self.wal_seq += self.pending[shard].len() as u64;
         let mut buf = std::mem::take(&mut self.batch_buf);
         encode_batch_entry(
             first,
@@ -1267,28 +956,9 @@ impl MonitorService {
             &self.pending[shard],
             &mut buf,
         );
-        let result = self.writers[shard]
-            .as_mut()
-            .expect("checked above")
-            .append(&buf);
+        let result = self.append(shard, &buf);
         self.batch_buf = buf;
-        match result {
-            Ok(framed) => {
-                self.shared
-                    .metrics
-                    .wal_appends
-                    .fetch_add(1, Ordering::Relaxed);
-                self.shared
-                    .metrics
-                    .wal_bytes
-                    .fetch_add(framed, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(e) => Err(MonitorError::Wal {
-                shard: Some(shard),
-                detail: e.to_string(),
-            }),
-        }
+        result
     }
 
     /// Checks the per-sensor load window and re-cuts the shard map when
@@ -1297,7 +967,9 @@ impl MonitorService {
     /// any shard is dead. Failures (a barrier timeout, a WAL error) leave
     /// the service running; the counters reset either way.
     fn maybe_rebalance(&mut self) {
-        if self.rebalance_interval == 0 || self.records_since_rb < self.rebalance_interval {
+        if self.config.rebalance_interval_records == 0
+            || self.records_since_rb < self.config.rebalance_interval_records
+        {
             return;
         }
         self.records_since_rb = 0;
@@ -1308,11 +980,12 @@ impl MonitorService {
             }
             let mut load = vec![0u64; shards];
             for (i, &count) in self.sensor_counts.iter().enumerate() {
-                load[self.map.shard_of(SensorId::new(i as u32))] += count;
+                load[self.epochs.map.shard_of(SensorId::new(i as u32))] += count;
             }
             let total: u64 = load.iter().sum();
             let max = load.iter().copied().max().unwrap_or(0);
-            let skewed = ((max * shards as u64) as f64) >= self.rebalance_skew * total as f64;
+            let skewed =
+                ((max * shards as u64) as f64) >= self.config.rebalance_skew * total as f64;
             if total == 0 || !skewed {
                 break 'decide None;
             }
@@ -1320,7 +993,7 @@ impl MonitorService {
             // shard k gets the contiguous run up to the first rank whose
             // weight prefix reaches k/shards of the total. The +1 floor
             // keeps silent sensors from collapsing into one shard.
-            let order = self.map.order();
+            let order = self.epochs.map.order();
             let weight = |s: SensorId| self.sensor_counts[s.index()] + 1;
             let total_w: u64 = order.iter().map(|&s| weight(s)).sum();
             let mut cuts = Vec::with_capacity(shards + 1);
@@ -1337,7 +1010,7 @@ impl MonitorService {
             while cuts.len() <= shards {
                 cuts.push(order.len() as u32);
             }
-            (cuts != self.map.cuts()).then_some(cuts)
+            (cuts != self.epochs.map.cuts()).then_some(cuts)
         };
         if let Some(cuts) = decision {
             let _ = self.rebalance_to(&cuts);
@@ -1352,19 +1025,13 @@ impl MonitorService {
     /// before the swap is harmless — workers holding a wider predicate
     /// than the merger is conservative, never wrong.
     fn rebalance_to(&mut self, cuts: &[u32]) -> Result<(), MonitorError> {
-        let new_map = Arc::new(ShardMap::build_with_cuts(
-            &self.shared.network,
-            cuts,
-            self.shared.params.delta_d_miles,
-        ));
-        let mut info = (*self.boundary).clone();
-        info.accumulate(&self.map, &new_map);
-        let info = Arc::new(info);
+        let next = self.epochs.successor(cuts);
+        let boundary = &next.1;
         for shard in 0..self.senders.len() {
             let (reply_tx, reply_rx) = bounded(1);
             let sent = self.senders[shard]
                 .send(WorkerMsg::Rebalance {
-                    boundary: info.clone(),
+                    boundary: boundary.clone(),
                     reply: reply_tx,
                 })
                 .is_ok();
@@ -1374,13 +1041,11 @@ impl MonitorService {
         }
         if let Some(tx) = &self.merger_tx {
             let _ = tx.send(MergerMsg::Rebalance {
-                boundary: info.clone(),
+                boundary: boundary.clone(),
             });
         }
-        let epoch = self.epoch_cuts.len() as u64 + 1;
-        self.map = new_map;
-        self.boundary = info;
-        self.epoch_cuts.push(cuts.to_vec());
+        self.epochs.commit(next, cuts);
+        let epoch = self.epochs.cuts.len() as u64;
         self.shared
             .metrics
             .rebalances
@@ -1422,23 +1087,10 @@ impl MonitorService {
                 // The advance already rode inside this flush's sub-batch
                 // message; only the WAL entry remains.
                 self.advance_fused[shard] = false;
-                self.log_op(shard, WalOp::Advance(window))?;
-                continue;
-            }
-            if self.senders[shard]
-                .send(WorkerMsg::Advance(window))
-                .is_err()
+            } else if let Err(SendError(msg)) = self.senders[shard].send(WorkerMsg::Advance(window))
             {
-                match self.respawn(shard) {
-                    Ok(()) => {
-                        if self.senders[shard]
-                            .send(WorkerMsg::Advance(window))
-                            .is_err()
-                        {
-                            self.mark_dead(shard);
-                            continue;
-                        }
-                    }
+                match self.resend(shard, msg) {
+                    Ok(()) => {}
                     Err(MonitorError::WorkerDied { .. }) => continue,
                     Err(other) => return Err(other),
                 }
@@ -1450,28 +1102,24 @@ impl MonitorService {
 
     /// Appends one entry to a shard's WAL (no-op without durability).
     fn log_op(&mut self, shard: usize, op: WalOp) -> Result<(), MonitorError> {
-        let Some(writer) = self.writers[shard].as_mut() else {
+        if self.writers[shard].is_none() {
             return Ok(());
-        };
-        self.wal_seq += 1;
-        let payload = encode_entry(self.wal_seq, &op);
-        match writer.append(&payload) {
-            Ok(framed) => {
-                self.shared
-                    .metrics
-                    .wal_appends
-                    .fetch_add(1, Ordering::Relaxed);
-                self.shared
-                    .metrics
-                    .wal_bytes
-                    .fetch_add(framed, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(e) => Err(MonitorError::Wal {
-                shard: Some(shard),
-                detail: e.to_string(),
-            }),
         }
+        self.wal_seq += 1;
+        self.append(shard, &encode_entry(self.wal_seq, &op))
+    }
+
+    /// Appends one encoded entry to `shard`'s WAL and counts it.
+    fn append(&mut self, shard: usize, payload: &[u8]) -> Result<(), MonitorError> {
+        let writer = self.writers[shard].as_mut().expect("durability is on");
+        let framed = writer.append(payload).map_err(|e| MonitorError::Wal {
+            shard: Some(shard),
+            detail: e.to_string(),
+        })?;
+        let metrics = &self.shared.metrics;
+        metrics.wal_appends.fetch_add(1, Ordering::Relaxed);
+        metrics.wal_bytes.fetch_add(framed, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Rebuilds a dead shard worker in place: replay its log from the
@@ -1482,8 +1130,8 @@ impl MonitorService {
     /// ([`MonitorError::ShardFailed`]).
     fn respawn(&mut self, shard: usize) -> Result<(), MonitorError> {
         self.mark_dead(shard);
-        let budget = self.durability.respawn_budget;
-        if !self.durability.enabled() || budget == 0 {
+        let budget = self.config.durability.respawn_budget;
+        if !self.config.durability.enabled() || budget == 0 {
             return Err(MonitorError::WorkerDied { shard });
         }
         if self.respawns_used[shard] >= budget {
@@ -1492,10 +1140,7 @@ impl MonitorService {
                 .metrics
                 .permanently_failed
                 .fetch_add(1, Ordering::Relaxed);
-            return Err(MonitorError::ShardFailed {
-                shard,
-                respawns: self.respawns_used[shard],
-            });
+            return Err(self.dead_shard_error(shard));
         }
         self.respawns_used[shard] += 1;
         if let Some(stale) = self.workers[shard].take() {
@@ -1504,117 +1149,80 @@ impl MonitorService {
             let _ = stale.join();
         }
 
-        let wal_dir = self
-            .durability
-            .wal_dir
-            .clone()
-            .expect("supervision requires a WAL");
-        let base_seq = self.ckpt_base.as_ref().map_or(0, |c| c.last_seq);
-        let base_shard = self
-            .ckpt_base
-            .as_ref()
-            .map(|c| c.shards[shard].clone())
-            .unwrap_or_default();
-        let dir = shard_wal_dir(&wal_dir, shard);
-        let wal_err = |detail: String| MonitorError::Wal {
-            shard: Some(shard),
-            detail,
-        };
+        let wal_dir = self.config.durability.wal_dir.as_ref();
+        let dir = shard_wal_dir(wal_dir.expect("supervision requires a WAL"), shard);
+        let base = self.ckpt_base.as_ref();
+        let base_seq = base.map_or(0, |c| c.last_seq);
+        let base_shard = base.map(|c| c.shards[shard].clone()).unwrap_or_default();
         // The torn flag is ignored: the live writer owns the tail segment.
         let (entries, _torn) =
-            read_wal_suffix(&self.io, &dir, base_seq).map_err(|e| wal_err(e.to_string()))?;
+            read_wal_suffix(&self.io, &dir, base_seq).map_err(|e| MonitorError::Wal {
+                shard: Some(shard),
+                detail: e.to_string(),
+            })?;
+        // Unconditional (no flush-completeness check): the send-then-append
+        // invariant means a logged frame was delivered, so the dead worker
+        // held these records.
+        let entries: Vec<(usize, WalEntry)> = entries.into_iter().map(|e| (shard, e)).collect();
 
         // Replay on the ingest thread. The regenerated sealed events are a
         // prefix-extension of what the dead worker sent: suppress the ones
-        // the merger already holds, forward the rest.
+        // the merger already holds and forward the rest in one message,
+        // then one clock report.
         let merger_tx = self
             .merger_tx
             .clone()
             .expect("merger_tx lives until finish");
-        let network = self.shared.network.clone();
-        let (params, spec) = (self.shared.params, self.shared.spec);
-        let already_sent =
+        let boundary = self.epochs.boundary.clone();
+        let mut already_sent =
             self.shared.sealed_sent[shard].load(Ordering::Relaxed) - base_shard.sealed_sent;
-        let restore = {
-            let mut extractor = OnlineExtractor::new(&network, params, spec);
-            extractor.retain_raw_events(true);
-            extractor.restore_open_events(base_shard.clock, base_shard.open.clone());
-            let mut regenerated: Vec<SealedRawEvent> = Vec::new();
-            for entry in &entries {
-                match &entry.op {
-                    // Unconditional (no flush-completeness check): the
-                    // send-then-append invariant means a logged frame was
-                    // delivered, so the dead worker held these records.
-                    WalOp::Record(_) | WalOp::Batch { .. } => {
-                        for &record in entry.op.records() {
-                            let _ = extractor.push(record);
-                        }
-                    }
-                    WalOp::Advance(window) => {
-                        extractor.advance_to(*window);
-                        regenerated.append(&mut extractor.drain_sealed_raw());
-                    }
-                    // The worker's boundary predicate is handed to the
-                    // respawn below (`self.boundary`, already ⊇ every
-                    // logged epoch).
-                    WalOp::Rebalance { .. } => {}
-                }
+        let mut fresh = Vec::new();
+        let mut forward = |msg| {
+            if let MergerMsg::Sealed { events } = msg {
+                let skip = already_sent.min(events.len() as u64);
+                already_sent -= skip;
+                fresh.extend(events.into_iter().skip(skip as usize));
             }
-            regenerated.append(&mut extractor.drain_sealed_raw());
-            let total = regenerated.len() as u64;
-            debug_assert!(
-                total >= already_sent,
-                "replay regenerated fewer events than the merger received"
-            );
-            let fresh: Vec<SealedRawEvent> = regenerated
-                .into_iter()
-                .skip(already_sent.min(total) as usize)
-                .collect();
-            if !fresh.is_empty() {
-                let _ = merger_tx.send(MergerMsg::Sealed { events: fresh });
-            }
-            self.shared.sealed_sent[shard].store(base_shard.sealed_sent + total, Ordering::Relaxed);
-            let (open_floor, boundary_floor) =
-                extractor.open_floors(|s| self.boundary.is_boundary(s));
-            let _ = merger_tx.send(MergerMsg::Clock {
-                shard,
-                window: extractor.current_window(),
-                open_floor,
-                boundary_floor,
-            });
-            (extractor.current_window(), extractor.export_open_events())
         };
-
-        let (tx, rx) = bounded::<WorkerMsg>(self.channel_capacity);
-        let worker = spawn_worker(WorkerSpawn {
-            shard,
-            rx,
-            network,
-            boundary: self.boundary.clone(),
-            shared: self.shared.clone(),
-            merger_tx,
-            kill_after: kill_after_for(&self.faults, shard),
-            jitter: jitter_for(&self.faults, shard),
-            restore: Some(restore),
-        });
-        match worker {
-            Ok(handle) => {
-                self.senders[shard] = tx;
-                self.workers[shard] = Some(handle);
-                self.dead[shard] = false;
-                self.shared.metrics.unmark_worker_dead(shard);
-                self.shared.metrics.respawns.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(_) => Err(MonitorError::WorkerDied { shard }),
+        let mut step = ShardStep::restore(shard, &self.shared, boundary.clone(), base_shard);
+        let steps = std::slice::from_mut(&mut step);
+        replay(&entries, steps, None, None, &mut forward);
+        let state = step.export(&mut forward);
+        debug_assert_eq!(
+            already_sent, 0,
+            "replay regenerated fewer events than the merger received"
+        );
+        if !fresh.is_empty() {
+            let _ = merger_tx.send(MergerMsg::Sealed { events: fresh });
         }
+        step.adopt(boundary.clone(), &mut |msg| {
+            let _ = merger_tx.send(msg);
+        });
+
+        let (tx, worker) = spawn_worker(
+            &self.config,
+            shard,
+            &self.shared,
+            &boundary,
+            &merger_tx,
+            state,
+        )
+        .map_err(|_| MonitorError::WorkerDied { shard })?;
+        self.senders[shard] = tx;
+        self.workers[shard] = Some(worker);
+        self.dead[shard] = false;
+        self.shared.metrics.unmark_worker_dead(shard);
+        self.shared.metrics.respawns.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Diverts a record whose sensor the deployment's network does not
     /// have (`admission.quarantine`); routing it would index out of the
     /// shard map. Returns whether the record was quarantined.
     fn quarantine_malformed(&mut self, record: &AtypicalRecord) -> bool {
-        if !self.admission.quarantine || record.sensor.index() < self.shared.network.num_sensors() {
+        if !self.config.admission.quarantine
+            || record.sensor.index() < self.shared.network.num_sensors()
+        {
             return false;
         }
         self.divert(*record, QuarantineReason::Malformed);
@@ -1627,11 +1235,11 @@ impl MonitorService {
     /// bug by the feed's own contract, so it keeps the typed
     /// [`MonitorError::OutOfOrder`] and fails fast.
     fn quarantine_stale(&mut self, record: &AtypicalRecord, current: TimeWindow) -> bool {
-        if !self.admission.quarantine {
+        if !self.config.admission.quarantine {
             return false;
         }
         let regression = current.0.saturating_sub(record.window.0);
-        if regression <= self.admission.order_tolerance_windows {
+        if regression <= self.config.admission.order_tolerance_windows {
             return false;
         }
         self.divert(*record, QuarantineReason::OutOfOrder);
@@ -1641,7 +1249,7 @@ impl MonitorService {
     /// Diverts a repeat of a sensor already accepted in the current
     /// window (`admission.dedup`).
     fn quarantine_duplicate(&mut self, record: &AtypicalRecord) -> bool {
-        if !self.admission.dedup {
+        if !self.config.admission.dedup {
             return false;
         }
         if self.seen_in_window.insert(record.sensor.index() as u32) {
@@ -1679,7 +1287,7 @@ impl MonitorService {
     /// interval out instead of a full one, so a transiently failing disk
     /// does not quietly quadruple the replay window.
     fn maybe_checkpoint(&mut self) {
-        let interval = self.durability.checkpoint_interval_records;
+        let interval = self.config.durability.checkpoint_interval_records;
         if interval == 0 || self.records_since_ck < interval {
             return;
         }
@@ -1706,17 +1314,16 @@ impl MonitorService {
     ///
     /// 1. rotate every shard's WAL — post-cut entries land in segments
     ///    `>= wal_floor`;
-    /// 2. barrier every worker (reply = clock + open events, after
-    ///    flushing pending sealed events to the merger);
-    /// 3. read the per-shard sealed counters — final, since every worker
-    ///    has acked;
-    /// 4. barrier the merger (channel FIFO ⇒ it has applied every
+    /// 2. barrier every worker (reply = clock, open events and sealed
+    ///    count, after flushing pending sealed events to the merger);
+    /// 3. barrier the merger (channel FIFO ⇒ it has applied every
     ///    pre-barrier message) for its reconciliation pool and the live
     ///    state it owns;
-    /// 5. write the checkpoint atomically, then delete segments below
+    /// 4. write the checkpoint atomically, then delete segments below
     ///    every floor.
     fn checkpoint_now(&mut self) -> Result<(), MonitorError> {
         let wal_dir = self
+            .config
             .durability
             .wal_dir
             .clone()
@@ -1724,16 +1331,18 @@ impl MonitorService {
         let shards = self.senders.len();
         let wal_err = |shard: Option<usize>, detail: String| MonitorError::Wal { shard, detail };
 
-        let mut floors = vec![0u64; shards];
+        let mut floors = Vec::with_capacity(shards);
         for (shard, writer) in self.writers.iter_mut().enumerate() {
             let writer = writer.as_mut().expect("durability is on");
-            floors[shard] = writer
-                .rotate()
-                .map_err(|e| wal_err(Some(shard), e.to_string()))?;
+            floors.push(
+                writer
+                    .rotate()
+                    .map_err(|e| wal_err(Some(shard), e.to_string()))?,
+            );
         }
 
         let mut shard_states = Vec::with_capacity(shards);
-        for shard in 0..shards {
+        for (shard, &wal_floor) in floors.iter().enumerate() {
             let (reply_tx, reply_rx) = bounded(1);
             if self.senders[shard]
                 .send(WorkerMsg::Checkpoint { reply: reply_tx })
@@ -1744,7 +1353,7 @@ impl MonitorService {
                 return Err(MonitorError::WorkerDied { shard });
             }
             match reply_rx.recv_timeout(BARRIER_TIMEOUT) {
-                Ok(state) => shard_states.push(state),
+                Ok(state) => shard_states.push(ShardCkpt { wal_floor, ..state }),
                 Err(_) => {
                     return Err(wal_err(
                         Some(shard),
@@ -1753,9 +1362,6 @@ impl MonitorService {
                 }
             }
         }
-        let sealed: Vec<u64> = (0..shards)
-            .map(|s| self.shared.sealed_sent[s].load(Ordering::Relaxed))
-            .collect();
 
         let merger_tx = self
             .merger_tx
@@ -1773,19 +1379,10 @@ impl MonitorService {
             last_seq: self.wal_seq,
             current_window: self.current_window,
             ingest_seq: self.ingest_seq,
-            shards: shard_states
-                .into_iter()
-                .enumerate()
-                .map(|(shard, (clock, open))| ShardCkpt {
-                    clock,
-                    open,
-                    sealed_sent: sealed[shard],
-                    wal_floor: floors[shard],
-                })
-                .collect(),
+            shards: shard_states,
             merger,
             live,
-            epochs: self.epoch_cuts.clone(),
+            epochs: self.epochs.cuts.clone(),
         };
         write_checkpoint(&self.io, &wal_dir, &doc).map_err(|e| wal_err(None, e.to_string()))?;
         for (shard, &floor) in floors.iter().enumerate() {

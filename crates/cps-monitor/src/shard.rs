@@ -19,6 +19,7 @@
 
 use cps_core::SensorId;
 use cps_geo::RoadNetwork;
+use std::sync::Arc;
 
 /// Static assignment of sensors to shards plus the cross-shard δd
 /// adjacency used by the merger's reconciliation.
@@ -260,6 +261,47 @@ impl BoundaryInfo {
     /// Sensors flagged boundary.
     pub fn boundary_count(&self) -> usize {
         self.boundary_count
+    }
+}
+
+/// A run's shard-map epoch chain: the map that routes new records, the
+/// [`BoundaryInfo`] accumulated over every epoch, and the cut vector of
+/// each rebalance epoch ≥ 1 (epoch 0 is the even [`ShardMap::build`]) —
+/// what checkpoints record and recovery rebuilds.
+pub(crate) struct EpochChain {
+    network: Arc<RoadNetwork>,
+    delta_d_miles: f64,
+    pub(crate) map: Arc<ShardMap>,
+    pub(crate) boundary: Arc<BoundaryInfo>,
+    pub(crate) cuts: Vec<Vec<u32>>,
+}
+
+impl EpochChain {
+    /// Epoch 0: the even map over `shards` shards.
+    pub(crate) fn new(network: Arc<RoadNetwork>, shards: usize, delta_d_miles: f64) -> Self {
+        let map = ShardMap::build(&network, shards, delta_d_miles);
+        Self {
+            boundary: Arc::new(BoundaryInfo::from_map(&map)),
+            map: Arc::new(map),
+            network,
+            delta_d_miles,
+            cuts: Vec::new(),
+        }
+    }
+
+    /// The map `cuts` describes and the predicate accumulated through it:
+    /// the next epoch, not yet committed.
+    pub(crate) fn successor(&self, cuts: &[u32]) -> (Arc<ShardMap>, Arc<BoundaryInfo>) {
+        let map = ShardMap::build_with_cuts(&self.network, cuts, self.delta_d_miles);
+        let mut boundary = (*self.boundary).clone();
+        boundary.accumulate(&self.map, &map);
+        (Arc::new(map), Arc::new(boundary))
+    }
+
+    /// Makes `next` (from [`successor`](Self::successor)`(cuts)`) current.
+    pub(crate) fn commit(&mut self, next: (Arc<ShardMap>, Arc<BoundaryInfo>), cuts: &[u32]) {
+        (self.map, self.boundary) = next;
+        self.cuts.push(cuts.to_vec());
     }
 }
 

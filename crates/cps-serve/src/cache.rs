@@ -11,7 +11,7 @@
 //!   forever. This is where the hit rate comes from: operators hammer
 //!   recent *historical* ranges (the dashboard's trends panel) whose
 //!   answers are stable.
-//! - [`Stamp::Epoch(e)`] — the range overlapped live days at computation
+//! - [`Stamp::Epoch`]`(e)` — the range overlapped live days at computation
 //!   time; the entry is valid only while the current publication epoch is
 //!   still `e`. Any publication — a finalized cluster, a window advance,
 //!   or a day seal — invalidates it, so a reader can never observe a

@@ -11,7 +11,7 @@
 //! repo's flagship differential suites against that domain's feed:
 //!
 //! * [`check_day_determinism`] — regenerating day `d` from the same
-//!   seed is byte-identical (serialized [`SourceDay`], context streams
+//!   seed is byte-identical (serialized [`cps_sim::SourceDay`], context streams
 //!   included) across independently constructed sources;
 //! * [`check_partition_merge`] — Properties 2–3: clustering any
 //!   partition of a real day and merging the parts equals clustering
@@ -47,7 +47,7 @@ use crate::canonical::canonicalize;
 use crate::fixtures::{cluster_from_records, temp_dir};
 use crate::reference::reference_guided;
 use atypical::eval::evaluate;
-use atypical::integrate::{integrate_aligned, TimeAlignment};
+use atypical::integrate::{integrate_aligned, integrate_aligned_naive, TimeAlignment};
 use atypical::online::OnlineExtractor;
 use atypical::pipeline::build_forest_from_records;
 use atypical::{AtypicalCluster, Query, QueryEngine, Strategy};
@@ -306,18 +306,10 @@ pub fn check_indexed_vs_naive(case: &ConformanceCase) {
     ] {
         let mut naive_ids = ClusterIdGen::new(1_000_000);
         let mut indexed_ids = ClusterIdGen::new(1_000_000);
-        let (naive, naive_stats) = integrate_aligned(
-            micros.clone(),
-            &params.with_indexed_integration(false),
-            alignment,
-            &mut naive_ids,
-        );
-        let (indexed, indexed_stats) = integrate_aligned(
-            micros.clone(),
-            &params.with_indexed_integration(true),
-            alignment,
-            &mut indexed_ids,
-        );
+        let (naive, naive_stats) =
+            integrate_aligned_naive(micros.clone(), &params, alignment, &mut naive_ids);
+        let (indexed, indexed_stats) =
+            integrate_aligned(micros.clone(), &params, alignment, &mut indexed_ids);
         assert_eq!(
             naive, indexed,
             "{} {alignment:?}: outputs are not bit-identical",
@@ -586,7 +578,7 @@ pub fn check_serve_paths(case: &ConformanceCase) {
 }
 
 /// Storage axis: the domain's forest, persisted through the
-/// [`ForestStore`], reloads byte-identically; stored query execution
+/// [`atypical::store::ForestStore`], reloads byte-identically; stored query execution
 /// (`All`/`Pru`/`Gui`, with predicate pushdown) returns feature-identical
 /// results to the in-memory engine, and the unselective `All` control
 /// skips nothing; the guided strategy keeps full recall; and the cube's

@@ -18,7 +18,7 @@
 //!   `CPS_FAULT_SEED=<seed>` on failure and is reproducible from it,
 //! * [`canonical`] — order-free cluster-set form for equivalence checks,
 //! * [`fixtures`] — shared simulated deployments and temp directories,
-//! * [`reference`] — the batch recomputation every guided read-path
+//! * [`mod@reference`] — the batch recomputation every guided read-path
 //!   answer is compared against.
 //!
 //! The injection seams live in the production crates (`cps-storage::Io`,

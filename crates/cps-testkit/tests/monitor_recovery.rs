@@ -10,8 +10,10 @@
 //! Also covered: torn WAL frames at every byte boundary of representative
 //! appends, worker kill + supervised respawn with zero record loss,
 //! respawn-budget exhaustion surfacing the typed
-//! [`MonitorError::ShardFailed`], restart after a clean shutdown, and the
-//! `start_with` guard against silently shadowing durable state.
+//! [`MonitorError::ShardFailed`], restart after a clean shutdown, the
+//! `start_with` guard against silently shadowing durable state, and format
+//! fuzz over a real `wal_dir`: every byte of `checkpoint.ck` flipped and
+//! every truncation, every byte of a sealed and of the final WAL segment.
 //!
 //! The batched hot path gets the same treatment: crash sweeps at every op
 //! boundary of a batched feed (whose WAL carries multi-record batch
@@ -23,14 +25,16 @@
 
 use atypical::online::OnlineExtractor;
 use atypical::AtypicalCluster;
-use cps_core::{AtypicalRecord, Params, RecordBatch, WindowSpec};
+use cps_core::{AtypicalRecord, CpsError, Params, RecordBatch, WindowSpec};
 use cps_geo::RoadNetwork;
-use cps_monitor::durability::{decode_entry, shard_wal_dir, WalEntry, WalOp};
+use cps_monitor::durability::{
+    checkpoint_path, decode_entry, load_checkpoint, shard_wal_dir, WalEntry, WalOp,
+};
 use cps_monitor::{
     DurabilityConfig, FaultConfig, FsyncPolicy, MonitorConfig, MonitorError, MonitorHandle,
-    MonitorService, OverflowPolicy, WorkerKill,
+    MonitorService, OverflowPolicy, RecoveryReport, WorkerKill,
 };
-use cps_storage::wal::read_wal;
+use cps_storage::wal::{list_segments, read_wal, segment_path, WAL_HEADER_SIZE};
 use cps_storage::Io;
 use cps_testkit::fixtures::{temp_dir, tiny_day};
 use cps_testkit::{canonicalize, Canonical, CrashPlan, OpKind};
@@ -846,4 +850,137 @@ fn legacy_record_frames_still_recover() {
         !written.iter().any(|e| matches!(e.op, WalOp::Record(_))),
         "ingest must no longer write lone-record frames"
     );
+}
+
+/// The format fuzz feeds this many records one per call, checkpointing
+/// once: shard 0 of the fixture day is quiet, and the long tail past the
+/// checkpoint still gives it two WAL segments.
+const FUZZ_FEED_LEN: usize = 1600;
+const FUZZ_CHECKPOINT_INTERVAL: u64 = 900;
+
+/// A real two-shard `wal_dir` for the format fuzz: a checkpoint, and at
+/// least two WAL segments per shard past it.
+fn fuzz_base(wal_dir: &Path) -> (Fixture, MonitorConfig) {
+    let (sim, mut records) = tiny_day(11);
+    records.truncate(FUZZ_FEED_LEN);
+    assert_eq!(records.len(), FUZZ_FEED_LEN, "fixture day too small");
+    let fx = Fixture {
+        network: Arc::new(sim.network().clone()),
+        records,
+        params: Params::paper_defaults(),
+        spec: sim.config().spec,
+    };
+    let cfg = config(&fx, 2, wal_dir, FUZZ_CHECKPOINT_INTERVAL);
+    let mut service = MonitorService::start(&cfg, fx.network.clone()).expect("service starts");
+    assert!(feed(&mut service, &fx.records).is_none());
+    service.finish();
+    assert!(
+        checkpoint_path(wal_dir).exists(),
+        "the feed must checkpoint"
+    );
+    for shard in 0..2 {
+        let segments = list_segments(&shard_wal_dir(wal_dir, shard)).expect("WAL lists");
+        assert!(segments.len() >= 2, "shard {shard}: {segments:?}");
+    }
+    (fx, cfg)
+}
+
+/// Recovers `cfg`'s `wal_dir`; a recovered service is drained and must
+/// have lost no worker.
+fn try_recover(fx: &Fixture, cfg: &MonitorConfig) -> Result<RecoveryReport, String> {
+    let (service, report) = MonitorService::recover_with(cfg, fx.network.clone(), Io::real())?;
+    assert!(service.finish().dead_shards.is_empty(), "a worker died");
+    Ok(report)
+}
+
+/// Every byte of `checkpoint.ck` flipped, and the file cut at every
+/// length: loading is a typed `Corrupt` / `VersionMismatch`, and recovery
+/// refuses to start rather than panicking or restoring garbage.
+#[test]
+fn checkpoint_byte_flips_and_truncations_are_typed_errors() {
+    let wal_dir = temp_dir("fuzz-ckpt");
+    let (fx, cfg) = fuzz_base(&wal_dir);
+    let path = checkpoint_path(&wal_dir);
+    let clean = std::fs::read(&path).expect("checkpoint reads");
+    let mut damaged: Vec<(String, Vec<u8>)> = (0..clean.len())
+        .map(|i| {
+            let mut raw = clean.clone();
+            raw[i] ^= 0xFF;
+            (format!("flip {i}"), raw)
+        })
+        .collect();
+    damaged.extend((0..clean.len()).map(|n| (format!("cut {n}"), clean[..n].to_vec())));
+    for (label, raw) in damaged {
+        std::fs::write(&path, &raw).expect("plant damage");
+        match load_checkpoint(&Io::real(), &wal_dir) {
+            Err(CpsError::Corrupt { .. } | CpsError::VersionMismatch { .. }) => {}
+            other => panic!("{label}: {other:?}"),
+        }
+        assert!(try_recover(&fx, &cfg).is_err(), "{label}: recovered");
+    }
+    std::fs::write(&path, &clean).expect("restore checkpoint");
+    assert_eq!(
+        try_recover(&fx, &cfg).unwrap().resume_from,
+        FUZZ_FEED_LEN as u64
+    );
+}
+
+/// Every byte of a WAL segment flipped. A sealed (non-final) segment is
+/// append-complete, so damage there is corruption and recovery refuses.
+/// In the final segment a damaged frame is a torn tail: recovery repairs
+/// it and resumes from a record prefix — except in the segment header,
+/// which names the segment and is never torn by an append.
+#[test]
+fn wal_byte_flips_fail_typed_or_repair_the_tail() {
+    let base = temp_dir("fuzz-wal");
+    let (fx, base_cfg) = fuzz_base(&base);
+    let shard_dir = shard_wal_dir(&base, 1);
+    let segments = list_segments(&shard_dir).expect("WAL lists");
+    let sealed = segment_path(&shard_dir, segments[0]);
+    let last = segment_path(&shard_dir, *segments.last().unwrap());
+
+    let clean = std::fs::read(&sealed).expect("segment reads");
+    for i in 0..clean.len() {
+        let mut raw = clean.clone();
+        raw[i] ^= 0xFF;
+        std::fs::write(&sealed, &raw).expect("plant damage");
+        assert!(try_recover(&fx, &base_cfg).is_err(), "sealed byte {i}");
+    }
+    std::fs::write(&sealed, &clean).expect("restore segment");
+
+    let clean = std::fs::read(&last).expect("segment reads");
+    assert!(
+        clean.len() > WAL_HEADER_SIZE,
+        "final segment holds no frame"
+    );
+    for i in 0..clean.len() {
+        let wal_dir = temp_dir("fuzz-wal-case");
+        copy_tree(&base, &wal_dir);
+        let last = wal_dir.join(last.strip_prefix(&*base).unwrap());
+        let mut raw = clean.clone();
+        raw[i] ^= 0xFF;
+        std::fs::write(&last, &raw).expect("plant damage");
+        let cfg = config(&fx, 2, &wal_dir, FUZZ_CHECKPOINT_INTERVAL);
+        match try_recover(&fx, &cfg) {
+            Ok(report) => {
+                assert!(i >= WAL_HEADER_SIZE, "header byte {i} recovered");
+                assert_eq!(report.repaired_tails, 1, "final byte {i}");
+                assert!(report.resume_from <= FUZZ_FEED_LEN as u64, "final byte {i}");
+            }
+            Err(e) => assert!(i < WAL_HEADER_SIZE, "final byte {i}: {e}"),
+        }
+    }
+}
+
+fn copy_tree(from: &Path, to: &Path) {
+    for entry in std::fs::read_dir(from).expect("dir reads") {
+        let entry = entry.expect("dir entry");
+        let target = to.join(entry.file_name());
+        if entry.file_type().expect("file type").is_dir() {
+            std::fs::create_dir_all(&target).expect("dir created");
+            copy_tree(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), &target).expect("file copied");
+        }
+    }
 }

@@ -26,6 +26,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Intra-doc links must resolve: a renamed or deleted item fails here
+# instead of leaving a dangling link.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 # --no-fail-fast: one red target must never hide the targets behind it.
 echo "==> cargo test --workspace --no-fail-fast -q"
 cargo test --workspace --no-fail-fast -q
