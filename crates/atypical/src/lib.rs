@@ -74,6 +74,7 @@
 //! assert_eq!(clusters[0].sensor_count(), 3);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -15,6 +15,7 @@
 //! | [`figs::balance`] | Fig. 21 — severity of significant clusters vs δsim × g |
 //! | [`figs::ablation`] | §V-B text — red-zone filter rate; grid-size ablation |
 
+#![forbid(unsafe_code)]
 #![warn(clippy::all)]
 
 pub mod figs;

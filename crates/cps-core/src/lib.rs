@@ -24,6 +24,7 @@
 //! * [`ScratchDir`] — the one unique-temp-directory helper every test,
 //!   example and bench run in the workspace uses.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -18,6 +18,7 @@
 //! answers any coarser (spatial level, temporal level) query by distributive
 //! roll-up; coarser cuboids can be materialized on demand.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -15,6 +15,7 @@
 //! * [`RTree`] — an STR bulk-loaded R-tree used for spatial range queries
 //!   and the aggregate-R-tree related-work baseline in `cps-index`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -17,6 +17,7 @@
 //!   no sensor and no window is shared, so non-candidates are provably
 //!   below any merge threshold).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

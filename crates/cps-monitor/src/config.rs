@@ -71,9 +71,7 @@
 //! [serving]
 //! publish_every_clusters = 1  # snapshot cadence in finalized clusters
 //! publish_every_windows = 1   # snapshot cadence in window advances
-//! cache_shards = 8            # result-cache lock shards
-//! cache_capacity = 4096       # result-cache entries across all shards
-//! cache = true                # false = recompute every query
+//! cache_capacity = 4096       # result-cache entries
 //! ```
 
 use cps_core::{Params, WindowSpec};
@@ -315,13 +313,8 @@ pub struct ServingConfig {
     /// Publish after the global clock advances this many windows (≥ 1),
     /// so quiet periods still refresh readers.
     pub publish_every_windows: u32,
-    /// Lock shards of the result cache (≥ 1).
-    pub cache_shards: usize,
-    /// Total result-cache entries across all shards (≥ 1).
+    /// Result-cache entries (≥ 1).
     pub cache_capacity: usize,
-    /// Whether query results are cached at all; `false` recomputes every
-    /// query against the pinned snapshot (useful for differential runs).
-    pub cache: bool,
 }
 
 impl Default for ServingConfig {
@@ -329,9 +322,7 @@ impl Default for ServingConfig {
         Self {
             publish_every_clusters: 1,
             publish_every_windows: 1,
-            cache_shards: 8,
             cache_capacity: 4096,
-            cache: true,
         }
     }
 }
@@ -343,9 +334,6 @@ impl ServingConfig {
         }
         if self.publish_every_windows == 0 {
             return Err("serving.publish_every_windows must be at least 1".to_string());
-        }
-        if self.cache_shards == 0 {
-            return Err("serving.cache_shards must be at least 1".to_string());
         }
         if self.cache_capacity == 0 {
             return Err("serving.cache_capacity must be at least 1".to_string());
@@ -590,9 +578,7 @@ keys! {
     "durability.retry_jitter_seed" => durability.retry_jitter_seed,
     "serving.publish_every_clusters" => serving.publish_every_clusters,
     "serving.publish_every_windows" => serving.publish_every_windows,
-    "serving.cache_shards" => serving.cache_shards,
     "serving.cache_capacity" => serving.cache_capacity,
-    "serving.cache" => serving.cache,
 }
 
 /// A field type a TOML key can set: parsed with range checks, rendered
@@ -998,18 +984,14 @@ mod tests {
             [serving]
             publish_every_clusters = 16
             publish_every_windows = 4
-            cache_shards = 2
             cache_capacity = 128
-            cache = false
             "#,
         )
         .unwrap();
         let s = &config.serving;
         assert_eq!(s.publish_every_clusters, 16);
         assert_eq!(s.publish_every_windows, 4);
-        assert_eq!(s.cache_shards, 2);
         assert_eq!(s.cache_capacity, 128);
-        assert!(!s.cache);
         assert_eq!(MonitorConfig::default().serving, ServingConfig::default());
     }
 
@@ -1018,7 +1000,6 @@ mod tests {
         for bad in [
             "[serving]\npublish_every_clusters = 0",
             "[serving]\npublish_every_windows = 0",
-            "[serving]\ncache_shards = 0",
             "[serving]\ncache_capacity = 0",
         ] {
             let err = MonitorConfig::from_toml_str(bad).unwrap_err();
@@ -1134,7 +1115,7 @@ mod tests {
         config.rebalance_interval_records = 2500;
         config.rebalance_skew = 1.75;
         config.serving.publish_every_clusters = 32;
-        config.serving.cache = false;
+        config.serving.cache_capacity = 77;
         config.admission.quarantine = true;
         config.admission.order_tolerance_windows = 4;
         config.admission.dedup = true;
@@ -1250,9 +1231,7 @@ mod tests {
             serving: ServingConfig {
                 publish_every_clusters: 6,
                 publish_every_windows: 7,
-                cache_shards: 2,
                 cache_capacity: 99,
-                cache: false,
             },
             ..MonitorConfig::default()
         };
@@ -1296,7 +1275,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(KEYS.len(), 45, "no key added or removed");
+        assert_eq!(KEYS.len(), 43, "no key added or removed");
         assert_eq!(
             changed.len(),
             KEYS.len(),

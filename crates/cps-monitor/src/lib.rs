@@ -20,8 +20,10 @@
 //! through the `cps-serve` snapshot layer ([`MonitorHandle::read_view`] /
 //! [`MonitorHandle::serve`]): the merger publishes immutable epoch-stamped
 //! [`cps_serve::LiveSnapshot`]s at the `[serving]` cadence, and readers pin
-//! one with a single atomic load, optionally behind the sharded result
+//! one (a lock held for one `Arc` clone), optionally behind the result
 //! cache.
+
+#![forbid(unsafe_code)]
 
 pub mod admission;
 pub mod config;

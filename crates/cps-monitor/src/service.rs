@@ -610,9 +610,7 @@ impl MonitorService {
                 store: store.clone(),
             },
             live.publishable(0),
-            config.serving.cache_shards,
             config.serving.cache_capacity,
-            config.serving.cache,
         ));
         let shared = Arc::new(SharedState {
             network: network.clone(),
@@ -1457,12 +1455,14 @@ impl MonitorService {
 /// Cloneable, thread-safe query facade over the service.
 ///
 /// Every read goes through the latest **published snapshot**:
-/// [`read_view`](Self::read_view) pins it as a [`ReadView`] (one atomic
-/// load) and [`serve`](Self::serve) adds the result cache in front. Reads
-/// never block ingest, a pinned view is internally consistent across a
-/// multi-step drill-down, and it trails the merger's state by at most the
-/// configured publication cadence; after [`MonitorService::finish`] the
-/// latest snapshot is the final state.
+/// [`read_view`](Self::read_view) pins it as a [`ReadView`] (one `Arc`
+/// clone under a lock) and [`serve`](Self::serve) adds the result cache
+/// in front. Reader and merger share that lock only for a pointer clone
+/// or swap, so a read never waits on ingest work; a pinned view is
+/// internally consistent across a multi-step drill-down, and it trails
+/// the merger's state by at most the configured publication cadence;
+/// after [`MonitorService::finish`] the latest snapshot is the final
+/// state.
 #[derive(Clone)]
 pub struct MonitorHandle {
     shared: Arc<SharedState>,
@@ -1474,8 +1474,8 @@ impl MonitorHandle {
         self.shared.metrics.snapshot(self.shared.started.elapsed())
     }
 
-    /// Pins the latest published snapshot as a [`ReadView`]: one atomic
-    /// load, no contention with the merger.
+    /// Pins the latest published snapshot as a [`ReadView`]: one `Arc`
+    /// clone under a lock the merger holds only for a pointer swap.
     pub fn read_view(&self) -> ReadView {
         self.serve().view()
     }

@@ -161,3 +161,19 @@ fn removed_snapshot_backend_key_is_an_unknown_key() {
         );
     }
 }
+
+/// The result cache is one map and always on; the TOML keys that sharded
+/// it and switched it off are gone, so a file still setting either is
+/// rejected like any other unknown key.
+#[test]
+fn removed_cache_keys_are_unknown_keys() {
+    let unknown = MonitorConfig::from_toml_str("[serving]\nmystery_key = 1").unwrap_err();
+    for (key, value) in [("cache", "true"), ("cache_shards", "8")] {
+        let err = MonitorConfig::from_toml_str(&format!("[serving]\n{key} = {value}")).unwrap_err();
+        assert_eq!(
+            err.replace(key, "mystery_key"),
+            unknown,
+            "must be the plain unknown-key error"
+        );
+    }
+}

@@ -1,8 +1,7 @@
 //! The serving layer must never change an answer: at quiescence (after
 //! `finish`, which joins the merger behind its final publication) every
-//! query through a pinned [`ReadView`], through the cached
-//! [`ServeHandle`], and through a cache-disabled handle is bit-identical
-//! to the batch recomputation of [`reference_guided`] — with and without
+//! query through a pinned [`ReadView`] and through the cached
+//! [`ServeHandle`] is bit-identical to the batch recomputation of [`reference_guided`] — with and without
 //! a snapshot store, and for a service rebuilt by crash recovery before
 //! it ingests anything new.
 
@@ -162,25 +161,6 @@ fn snapshot_paths_match_reference_with_sealed_days() {
     );
     assert!(view.seal_epoch() > 0);
     assert_paths_agree(&handle, &config, &sim);
-}
-
-/// Disabling the cache changes performance, never answers: the handle
-/// recomputes every query and its counters stay untouched.
-#[test]
-fn cache_disabled_serves_identical_results() {
-    let sim = sim();
-    let mut config = base_config(&sim);
-    config.serving.cache = false;
-    let handle = run_to_quiescence(&config, &sim);
-    let serve = handle.serve();
-    assert!(!serve.cache_enabled());
-    assert_paths_agree(&handle, &config, &sim);
-    let stats = serve.cache_stats();
-    assert_eq!(
-        (stats.hits, stats.misses, stats.stale, stats.entries),
-        (0, 0, 0, 0),
-        "a disabled cache must not count or hold anything"
-    );
 }
 
 /// A coarse publication cadence only changes *when* snapshots appear;

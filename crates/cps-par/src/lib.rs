@@ -33,6 +33,7 @@
 //! A worker panic is propagated to the caller after all workers have
 //! been joined (no detached threads, no lost panics).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -1,5 +1,6 @@
-//! Sharded result cache over [`ReadView`](crate::view::ReadView) queries,
-//! with epoch-based invalidation.
+//! Result cache over [`ReadView`](crate::ReadView) queries, with
+//! epoch-based invalidation: one map behind one mutex, held for a hash
+//! probe per lookup or insert.
 //!
 //! ## Validity stamps
 //!
@@ -12,38 +13,40 @@
 //!   recent *historical* ranges (the dashboard's trends panel) whose
 //!   answers are stable.
 //! - [`Stamp::Epoch`]`(e)` — the range overlapped live days at computation
-//!   time; the entry is valid only while the current publication epoch is
-//!   still `e`. Any publication — a finalized cluster, a window advance,
-//!   or a day seal — invalidates it, so a reader can never observe a
+//!   time; the entry answers only a reader pinned at epoch `e`. Any
+//!   publication — a finalized cluster, a window advance, or a day seal —
+//!   kills it for every later reader, so a reader can never observe a
 //!   result older than the snapshot it pins.
 //!
-//! A lookup that finds an entry with a dead stamp removes it and counts a
-//! *stale* (distinct from a plain miss) — the hit/miss/stale triple is the
-//! operator's signal for tuning the publication cadence against the cache
-//! size.
+//! Readers pin independently, so a reader may look up an entry stored by
+//! a reader pinned at a *newer* epoch. That entry is a plain miss for the
+//! older reader and stays for the newer ones: only entries older than the
+//! reader's epoch are dead. A lookup that finds a dead entry removes it
+//! and counts a *stale* (distinct from a plain miss) — the hit/miss/stale
+//! triple is the operator's signal for tuning the publication cadence
+//! against the cache size.
 
 use cps_core::fx::FxHashMap;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Which query produced a cached value; part of the key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum QueryKind {
-    /// [`ReadView::red_regions`](crate::view::ReadView::red_regions).
+pub(crate) enum QueryKind {
+    /// [`ReadView::red_regions`](crate::ReadView::red_regions).
     RedRegions,
-    /// [`ReadView::query_guided`](crate::view::ReadView::query_guided).
+    /// [`ReadView::query_guided`](crate::ReadView::query_guided).
     Guided,
-    /// [`ReadView::significant_clusters`](crate::view::ReadView::significant_clusters).
+    /// [`ReadView::significant_clusters`](crate::ReadView::significant_clusters).
     Significant,
-    /// [`ReadView::micro_clusters_for_day`](crate::view::ReadView::micro_clusters_for_day).
+    /// [`ReadView::micro_clusters_for_day`](crate::ReadView::micro_clusters_for_day).
     MicrosForDay,
 }
 
 /// Cache key: the query kind plus its whole-day range. Thresholds and the
 /// region partition are service-global (fixed at start), so they live in
-/// the [`ServeContext`](crate::view::ServeContext) rather than the key.
+/// the [`ServeContext`](crate::ServeContext) rather than the key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct QueryKey {
+pub(crate) struct QueryKey {
     /// The query kind.
     pub kind: QueryKind,
     /// First day of the range.
@@ -54,10 +57,10 @@ pub struct QueryKey {
 
 /// Validity stamp of one cache entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Stamp {
+pub(crate) enum Stamp {
     /// Computed over a fully-sealed range: valid forever.
     Immutable,
-    /// Valid only while the publication epoch equals the payload.
+    /// Computed at this publication epoch: valid for readers pinned there.
     Epoch(u64),
 }
 
@@ -68,15 +71,18 @@ impl Stamp {
             Stamp::Epoch(e) => e == epoch,
         }
     }
+
+    /// Computed at an epoch older than `epoch`: no reader pinned at
+    /// `epoch` or later can use it.
+    fn dead_at(self, epoch: u64) -> bool {
+        matches!(self, Stamp::Epoch(e) if e < epoch)
+    }
 }
 
 struct Entry<V> {
     value: V,
     stamp: Stamp,
 }
-
-/// One cache shard: an independently locked map.
-type Shard<V> = Mutex<FxHashMap<QueryKey, Entry<V>>>;
 
 /// Hit/miss/stale counters (point-in-time copy).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -90,7 +96,7 @@ pub struct CacheStats {
     pub stale: u64,
     /// Entries currently resident.
     pub entries: u64,
-    /// Entries evicted to respect the per-shard capacity.
+    /// Entries evicted to respect the capacity.
     pub evictions: u64,
 }
 
@@ -106,93 +112,93 @@ impl CacheStats {
     }
 }
 
-/// A sharded query-result cache. Shards are independent mutexes picked by
-/// key hash, so concurrent readers on different ranges rarely contend;
-/// the value type is an `Arc`-style cheap clone chosen by the caller.
-pub struct ResultCache<V> {
-    shards: Box<[Shard<V>]>,
-    capacity_per_shard: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    stale: AtomicU64,
-    evictions: AtomicU64,
+/// The map and its counters, guarded together.
+struct Inner<V> {
+    map: FxHashMap<QueryKey, Entry<V>>,
+    /// Every counter but `entries`, which is the map's length.
+    stats: CacheStats,
+}
+
+/// A query-result cache of at most `capacity` entries. The value type is
+/// an `Arc`-style cheap clone chosen by the caller.
+pub(crate) struct ResultCache<V> {
+    inner: Mutex<Inner<V>>,
+    capacity: usize,
 }
 
 impl<V: Clone> ResultCache<V> {
-    /// A cache of `shards` independent maps, `capacity` entries total.
-    pub fn new(shards: usize, capacity: usize) -> Self {
-        let shards = shards.max(1);
-        let capacity_per_shard = (capacity / shards).max(1);
+    /// An empty cache of at most `capacity` entries (at least one).
+    pub fn new(capacity: usize) -> Self {
         Self {
-            shards: (0..shards)
-                .map(|_| Mutex::new(FxHashMap::default()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            capacity_per_shard,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            stale: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            inner: Mutex::new(Inner {
+                map: FxHashMap::default(),
+                stats: CacheStats::default(),
+            }),
+            capacity: capacity.max(1),
         }
     }
 
-    fn shard_of(&self, key: &QueryKey) -> usize {
-        // A cheap deterministic spread: kind ⊕ day-range, golden-ratio
-        // mixed. The key space is small and structured, so multiplication
-        // beats relying on the low bits.
-        let raw = (key.first_day as u64) << 32 | (key.n_days as u64) << 3 | key.kind as u64;
-        (raw.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.shards.len()
+    /// Every update under the lock is one map operation or one counter
+    /// add, so a poisoned lock still guards a whole map and is recovered.
+    fn lock(&self) -> MutexGuard<'_, Inner<V>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Looks up `key`, treating entries whose stamp died before `epoch`
-    /// as absent (and evicting them).
+    /// Looks up `key` for a reader pinned at `epoch`. An entry from an
+    /// older epoch is evicted and counted stale; one from a newer epoch
+    /// is a miss and stays.
     pub fn get(&self, key: &QueryKey, epoch: u64) -> Option<V> {
-        let mut shard = self.shards[self.shard_of(key)].lock();
-        match shard.get(key) {
+        let inner = &mut *self.lock();
+        match inner.map.get(key) {
             Some(entry) if entry.stamp.valid_at(epoch) => {
-                self.hits.fetch_add(1, Relaxed);
+                inner.stats.hits += 1;
                 Some(entry.value.clone())
             }
-            Some(_) => {
-                shard.remove(key);
-                self.stale.fetch_add(1, Relaxed);
+            Some(entry) if entry.stamp.dead_at(epoch) => {
+                inner.map.remove(key);
+                inner.stats.stale += 1;
                 None
             }
-            None => {
-                self.misses.fetch_add(1, Relaxed);
+            _ => {
+                inner.stats.misses += 1;
                 None
             }
         }
     }
 
-    /// Inserts a computed value. When the shard is full, dead-stamped
-    /// entries are evicted first; if none are dead, an arbitrary resident
-    /// entry makes room (the map is small and rebuilt cheaply — an LRU
-    /// chain is not worth its locking overhead here).
+    /// Inserts a value computed by a reader pinned at `epoch`, unless a
+    /// live entry (immutable, or from this epoch or a newer one) already
+    /// holds the key. When the cache is full, entries dead at `epoch` are
+    /// evicted first; if none are dead, an arbitrary resident entry makes
+    /// room (the map is small and rebuilt cheaply — an LRU chain is not
+    /// worth its bookkeeping here).
     pub fn insert(&self, key: QueryKey, value: V, stamp: Stamp, epoch: u64) {
-        let mut shard = self.shards[self.shard_of(&key)].lock();
-        if shard.len() >= self.capacity_per_shard && !shard.contains_key(&key) {
-            let before = shard.len();
-            shard.retain(|_, e| e.stamp.valid_at(epoch));
-            if shard.len() >= self.capacity_per_shard {
-                if let Some(&victim) = shard.keys().next() {
-                    shard.remove(&victim);
+        let inner = &mut *self.lock();
+        let map = &mut inner.map;
+        match map.get(&key) {
+            Some(entry) if !entry.stamp.dead_at(epoch) => return,
+            Some(_) => {}
+            None if map.len() >= self.capacity => {
+                let before = map.len();
+                map.retain(|_, e| !e.stamp.dead_at(epoch));
+                if map.len() >= self.capacity {
+                    if let Some(&victim) = map.keys().next() {
+                        map.remove(&victim);
+                    }
                 }
+                inner.stats.evictions += (before - map.len()) as u64;
             }
-            self.evictions
-                .fetch_add((before - shard.len()) as u64, Relaxed);
+            None => {}
         }
-        shard.insert(key, Entry { value, stamp });
+        map.insert(key, Entry { value, stamp });
     }
 
     /// Point-in-time counters.
     pub fn stats(&self) -> CacheStats {
+        let inner = self.lock();
         CacheStats {
-            hits: self.hits.load(Relaxed),
-            misses: self.misses.load(Relaxed),
-            stale: self.stale.load(Relaxed),
-            entries: self.shards.iter().map(|s| s.lock().len() as u64).sum(),
-            evictions: self.evictions.load(Relaxed),
+            entries: inner.map.len() as u64,
+            ..inner.stats
         }
     }
 }
@@ -211,7 +217,7 @@ mod tests {
 
     #[test]
     fn immutable_entries_survive_epoch_changes() {
-        let cache: ResultCache<u64> = ResultCache::new(4, 64);
+        let cache: ResultCache<u64> = ResultCache::new(64);
         cache.insert(key(0, 3), 42, Stamp::Immutable, 1);
         assert_eq!(cache.get(&key(0, 3), 1), Some(42));
         assert_eq!(cache.get(&key(0, 3), 999), Some(42));
@@ -222,7 +228,7 @@ mod tests {
 
     #[test]
     fn epoch_entries_go_stale_on_publication() {
-        let cache: ResultCache<u64> = ResultCache::new(1, 8);
+        let cache: ResultCache<u64> = ResultCache::new(8);
         cache.insert(key(5, 1), 7, Stamp::Epoch(10), 10);
         assert_eq!(cache.get(&key(5, 1), 10), Some(7));
         assert_eq!(cache.get(&key(5, 1), 11), None, "newer epoch invalidates");
@@ -236,10 +242,10 @@ mod tests {
 
     #[test]
     fn capacity_evicts_dead_entries_first() {
-        let cache: ResultCache<u64> = ResultCache::new(1, 2);
+        let cache: ResultCache<u64> = ResultCache::new(2);
         cache.insert(key(0, 1), 1, Stamp::Epoch(1), 1);
         cache.insert(key(1, 1), 2, Stamp::Immutable, 1);
-        // Shard full; inserting at epoch 2 sweeps the dead epoch-1 entry.
+        // Cache full; inserting at epoch 2 sweeps the dead epoch-1 entry.
         cache.insert(key(2, 1), 3, Stamp::Immutable, 2);
         assert_eq!(cache.get(&key(1, 1), 2), Some(2), "live entry kept");
         assert_eq!(cache.get(&key(2, 1), 2), Some(3));
@@ -249,7 +255,7 @@ mod tests {
 
     #[test]
     fn distinct_kinds_do_not_collide() {
-        let cache: ResultCache<u64> = ResultCache::new(2, 16);
+        let cache: ResultCache<u64> = ResultCache::new(16);
         let guided = QueryKey {
             kind: QueryKind::Guided,
             first_day: 0,
@@ -259,5 +265,24 @@ mod tests {
         cache.insert(guided, 2, Stamp::Immutable, 0);
         assert_eq!(cache.get(&key(0, 1), 0), Some(1));
         assert_eq!(cache.get(&guided, 0), Some(2));
+    }
+
+    #[test]
+    fn older_reader_never_evicts_newer_entries() {
+        let cache: ResultCache<u64> = ResultCache::new(2);
+        // Reader B, pinned at epoch 11, stores its answer.
+        cache.insert(key(0, 1), 11, Stamp::Epoch(11), 11);
+        // Reader A, still pinned at 10: a plain miss, and B's entry stays.
+        assert_eq!(cache.get(&key(0, 1), 10), None);
+        assert_eq!((cache.stats().misses, cache.stats().stale), (1, 0));
+        // A's answer does not overwrite B's.
+        cache.insert(key(0, 1), 10, Stamp::Epoch(10), 10);
+        assert_eq!(cache.get(&key(0, 1), 11), Some(11));
+        // Full: A's capacity sweep drops only the entry older than A.
+        cache.insert(key(1, 1), 9, Stamp::Epoch(9), 9);
+        cache.insert(key(2, 1), 10, Stamp::Epoch(10), 10);
+        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(cache.get(&key(0, 1), 11), Some(11), "newer entry kept");
+        assert_eq!(cache.get(&key(2, 1), 10), Some(10));
     }
 }

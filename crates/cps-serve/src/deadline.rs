@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 /// A per-query time budget, started when constructed.
 #[derive(Clone, Debug)]
-pub struct QueryDeadline {
+pub(crate) struct QueryDeadline {
     start: Instant,
     budget: Duration,
 }
@@ -34,11 +34,6 @@ impl QueryDeadline {
         }
     }
 
-    /// The granted budget.
-    pub fn budget(&self) -> Duration {
-        self.budget
-    }
-
     /// Time spent since the budget started.
     pub fn elapsed(&self) -> Duration {
         self.start.elapsed()
@@ -47,11 +42,6 @@ impl QueryDeadline {
     /// Whether the budget is spent.
     pub fn expired(&self) -> bool {
         self.elapsed() >= self.budget
-    }
-
-    /// Budget left, saturating at zero.
-    pub fn remaining(&self) -> Duration {
-        self.budget.saturating_sub(self.elapsed())
     }
 }
 
@@ -121,15 +111,12 @@ mod tests {
     fn zero_budget_expires_immediately() {
         let d = QueryDeadline::new(Duration::ZERO);
         assert!(d.expired());
-        assert_eq!(d.remaining(), Duration::ZERO);
-        assert_eq!(d.budget(), Duration::ZERO);
     }
 
     #[test]
     fn generous_budget_is_not_expired() {
         let d = QueryDeadline::new(Duration::from_secs(3600));
         assert!(!d.expired());
-        assert!(d.remaining() > Duration::from_secs(3000));
     }
 
     #[test]

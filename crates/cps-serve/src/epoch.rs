@@ -1,174 +1,59 @@
-//! Lock-free snapshot publication: a single cell holding the current
-//! immutable snapshot, replaced atomically by the writer and pinned by
-//! readers without ever blocking either side.
+//! Snapshot publication: one cell holding the current immutable snapshot,
+//! replaced by the writer and pinned by readers as an `Arc`.
 //!
-//! ## Why hand-rolled hazard pointers
+//! The cell is a `Mutex<Arc<T>>`. A pin locks, clones the `Arc` and
+//! unlocks; a publication locks, swaps and unlocks, and only then drops
+//! the replaced snapshot, so a reader never waits on the free of a large
+//! snapshot. A reader pins once per query and the cheapest query (a live
+//! day's micro-clusters) costs a few hundred nanoseconds, so a lock-free
+//! pin would buy nothing measurable: uncontended, a pin plus its drop
+//! costs about 30 ns and a publication about 45 ns (DESIGN.md §11).
 //!
-//! The classic tool here is `arc-swap` (or `crossbeam-epoch`), neither of
-//! which exists among the vendored third-party stand-ins — so the cell
-//! implements the minimal hazard-pointer protocol those crates build on:
-//!
-//! - The current snapshot lives behind an [`AtomicPtr`] obtained from
-//!   [`Arc::into_raw`], so the cell owns one strong count per published
-//!   value.
-//! - A reader *pins* the snapshot by claiming one of a fixed array of
-//!   hazard slots with the candidate pointer, then re-loading the current
-//!   pointer. If it still matches, the value provably cannot have been
-//!   freed (the writer scans hazards only *after* swapping the pointer,
-//!   so either the writer sees the hazard, or the reader's re-load sees
-//!   the new pointer and retries). Only then is the strong count bumped
-//!   and the slot released — the slot is held for nanoseconds.
-//! - The writer swaps in the new pointer, pushes the old one onto a
-//!   retired list, and frees every retired pointer no hazard slot
-//!   references. Retirement is behind a mutex, but only writers take it —
-//!   the merger publishes; readers never touch it.
-//!
-//! ABA is benign: validation compares the *pointer* the reader already
-//! stored as its hazard, and a pointer can only be recycled after it was
-//! freed, which the protocol prevents while the hazard is visible. All
-//! operations use `SeqCst`: publication is rare (per finalized cluster at
-//! the default cadence) and reads are two loads plus one CAS, so the
-//! fences are noise next to the queries they protect.
+//! Nothing that can panic runs under the lock (an `Arc` clone or a
+//! pointer swap), so a poisoned lock still guards a whole `Arc` and is
+//! recovered rather than propagated.
 
-use parking_lot::Mutex;
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, Ordering::SeqCst};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Number of hazard slots — the maximum number of readers simultaneously
-/// *inside* a pin operation (not holding snapshots; those are plain
-/// `Arc`s). Excess readers spin briefly until a slot frees.
-const HAZARD_SLOTS: usize = 64;
-
-/// A lock-free publication cell: the writer [`publish`](SnapshotCell::publish)es
+/// A publication cell: the writer [`publish`](SnapshotCell::publish)es
 /// immutable values, readers [`load`](SnapshotCell::load) the current one
-/// as a pinned `Arc` without blocking the writer or each other.
+/// as a pinned `Arc`. Either side holds the lock only for a pointer swap
+/// or clone.
 pub struct SnapshotCell<T> {
-    current: AtomicPtr<T>,
-    hazards: Box<[AtomicPtr<T>]>,
-    /// Previously-published values still possibly pinned by an in-flight
-    /// reader; scanned and drained on every publish (writer-side only).
-    retired: Mutex<Vec<*const T>>,
+    current: Mutex<Arc<T>>,
 }
-
-// SAFETY: the cell hands out `Arc<T>` across threads and the raw pointers
-// it stores are only ever dereferenced through the hazard protocol above.
-unsafe impl<T: Send + Sync> Send for SnapshotCell<T> {}
-unsafe impl<T: Send + Sync> Sync for SnapshotCell<T> {}
 
 impl<T> SnapshotCell<T> {
-    /// A cell holding `initial`; the current pointer is never null.
+    /// A cell holding `initial`.
     pub fn new(initial: T) -> Self {
-        let hazards: Vec<AtomicPtr<T>> = (0..HAZARD_SLOTS)
-            .map(|_| AtomicPtr::new(ptr::null_mut()))
-            .collect();
         Self {
-            current: AtomicPtr::new(Arc::into_raw(Arc::new(initial)) as *mut T),
-            hazards: hazards.into_boxed_slice(),
-            retired: Mutex::new(Vec::new()),
+            current: Mutex::new(Arc::new(initial)),
         }
     }
 
-    /// Pins and returns the current snapshot. Wait-free for the writer,
-    /// lock-free for readers (a reader retries only if a publication or a
-    /// slot collision races it).
+    /// Pins and returns the current snapshot.
     pub fn load(&self) -> Arc<T> {
-        loop {
-            let candidate = self.current.load(SeqCst);
-            // Claim a free slot with the candidate already in it, so the
-            // claim and the hazard announcement are one atomic step.
-            let Some(slot) = self.try_claim(candidate) else {
-                std::hint::spin_loop();
-                continue;
-            };
-            let mut hazard = candidate;
-            loop {
-                let now = self.current.load(SeqCst);
-                if now == hazard {
-                    // The writer cannot have freed `hazard`: it was the
-                    // current pointer after our hazard became visible.
-                    // SAFETY: `hazard` came from `Arc::into_raw` and is
-                    // protected by the validated hazard slot.
-                    let pinned = unsafe {
-                        Arc::increment_strong_count(hazard);
-                        Arc::from_raw(hazard)
-                    };
-                    self.hazards[slot].store(ptr::null_mut(), SeqCst);
-                    return pinned;
-                }
-                // A publication raced us; chase the new pointer in the
-                // slot we already own.
-                hazard = now;
-                self.hazards[slot].store(hazard, SeqCst);
-            }
-        }
+        self.lock().clone()
     }
 
-    /// Publishes a new snapshot and frees every retired predecessor no
-    /// in-flight reader still pins.
+    /// Publishes a new snapshot. The predecessor is freed here unless a
+    /// reader still pins it, in which case the reader's last drop frees it.
     pub fn publish(&self, value: T) {
-        let fresh = Arc::into_raw(Arc::new(value)) as *mut T;
-        let old = self.current.swap(fresh, SeqCst);
-        let mut retired = self.retired.lock();
-        retired.push(old as *const T);
-        retired.retain(|&p| {
-            if self.is_hazard(p) {
-                true
-            } else {
-                // SAFETY: `p` came from `Arc::into_raw`, was swapped out
-                // of `current`, and no hazard slot references it — no
-                // reader can still be between claim and pin on it (such a
-                // reader's validation re-load cannot return `p` again).
-                unsafe { drop(Arc::from_raw(p)) };
-                false
-            }
-        });
+        let fresh = Arc::new(value);
+        let old = std::mem::replace(&mut *self.lock(), fresh);
+        // The guard died with the statement above: the free runs unlocked.
+        drop(old);
     }
 
-    /// CAS-claims a free hazard slot with `p` already published in it.
-    fn try_claim(&self, p: *mut T) -> Option<usize> {
-        for (i, slot) in self.hazards.iter().enumerate() {
-            if slot
-                .compare_exchange(ptr::null_mut(), p, SeqCst, SeqCst)
-                .is_ok()
-            {
-                return Some(i);
-            }
-        }
-        None
-    }
-
-    fn is_hazard(&self, p: *const T) -> bool {
-        self.hazards
-            .iter()
-            .any(|slot| ptr::eq(slot.load(SeqCst), p))
-    }
-
-    /// Retired-but-unfreed snapshot count (writer-side observability).
-    pub fn retired_len(&self) -> usize {
-        self.retired.lock().len()
-    }
-}
-
-impl<T> Drop for SnapshotCell<T> {
-    fn drop(&mut self) {
-        // `&mut self`: no reader can be mid-pin, so every pointer the
-        // cell still owns (current + retired) drops its strong count.
-        // SAFETY: each pointer was produced by `Arc::into_raw` exactly
-        // once and freed nowhere else.
-        unsafe {
-            drop(Arc::from_raw(self.current.load(SeqCst)));
-            for p in self.retired.get_mut().drain(..) {
-                drop(Arc::from_raw(p));
-            }
-        }
+    fn lock(&self) -> MutexGuard<'_, Arc<T>> {
+        self.current.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
     /// Payload whose drops are counted, to prove no leak and no double
     /// free across publication churn.

@@ -2,36 +2,42 @@
 //!
 //! The monitor's read side, split from its mutable ingest state: the
 //! merger publishes immutable epoch-stamped [`LiveSnapshot`]s through a
-//! lock-free [`SnapshotCell`]; readers pin one snapshot as a [`ReadView`]
-//! with a single atomic load and answer the whole query surface
-//! (`red_regions`, `query_guided`, `live_macro_clusters`,
-//! `micro_clusters_for_day`, `significant_clusters`) without ever
-//! touching the merger's state. A sharded [`ResultCache`] keyed by
-//! `(kind, day-range)` sits in front, with epoch-based invalidation on
-//! day-seal and hit/miss/stale metrics.
+//! [`SnapshotCell`] (one mutex around an `Arc`, held for a pointer clone
+//! or swap); readers pin one snapshot as a [`ReadView`] and answer the
+//! whole query surface (`red_regions`, `query_guided`,
+//! `live_macro_clusters`, `micro_clusters_for_day`,
+//! `significant_clusters`) without ever touching the merger's state.
+//! [`ServeHandle`] puts one result cache in front, keyed by
+//! `(kind, day-range)`, with epoch-based invalidation on publication and
+//! hit/miss/stale counters ([`CacheStats`]).
 //!
 //! The crate is deliberately monitor-agnostic: `cps-monitor` depends on
 //! it (building the [`ServeContext`] at service start and publishing from
 //! the merger), never the other way around, so the serving layer is
 //! testable against synthetic snapshots.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod cache;
-pub mod deadline;
-pub mod epoch;
-pub mod view;
+mod cache;
+mod deadline;
+mod epoch;
+mod view;
 
-pub use cache::{CacheStats, QueryKey, QueryKind, ResultCache, Stamp};
-pub use deadline::{DegradeStats, Degraded, QueryDeadline};
+pub use cache::CacheStats;
+pub use deadline::{DegradeStats, Degraded};
 pub use epoch::SnapshotCell;
 pub use view::{GuidedQuery, LiveSnapshot, ReadView, ServeContext};
 
 use atypical::AtypicalCluster;
+use cache::{QueryKey, QueryKind, ResultCache, Stamp};
 use cps_core::{RegionId, Severity};
+use deadline::QueryDeadline;
+use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// First merge id handed out by a query-local
 /// [`ClusterIdGen`](cps_core::ids::ClusterIdGen). Query-time integration
@@ -42,17 +48,9 @@ use std::sync::Arc;
 /// can never collide with either.
 pub const QUERY_ID_BASE: u64 = 1 << 61;
 
-/// One cached query result. The variant always matches the key's
-/// [`QueryKind`]; values are `Arc`s so a hit is a pointer clone.
-#[derive(Clone)]
-pub enum CachedValue {
-    /// Red regions with their composed `F` values.
-    Red(Arc<Vec<(RegionId, Severity)>>),
-    /// A guided-query outcome.
-    Guided(Arc<GuidedQuery>),
-    /// A plain cluster list (significant clusters, day micro-clusters).
-    Clusters(Arc<Vec<AtypicalCluster>>),
-}
+/// One cached answer; its concrete type is fixed by the key's
+/// [`QueryKind`], so a hit is a pointer clone and a downcast.
+type CachedValue = Arc<dyn Any + Send + Sync>;
 
 /// The serving state one monitor owns: publication cell, result cache,
 /// and the immutable query context. Shared as an `Arc` between the
@@ -62,27 +60,20 @@ pub struct ServeState {
     cache: ResultCache<CachedValue>,
     ctx: Arc<ServeContext>,
     next_epoch: AtomicU64,
-    cache_enabled: bool,
     degrade: Arc<DegradeStats>,
 }
 
 impl ServeState {
     /// Builds the serving state around an initial snapshot (epoch 0 for a
-    /// fresh service; a recovered service publishes its restored state).
-    pub fn new(
-        ctx: ServeContext,
-        initial: LiveSnapshot,
-        cache_shards: usize,
-        cache_capacity: usize,
-        cache_enabled: bool,
-    ) -> Self {
+    /// fresh service; a recovered service publishes its restored state),
+    /// with a result cache of at most `cache_capacity` entries.
+    pub fn new(ctx: ServeContext, initial: LiveSnapshot, cache_capacity: usize) -> Self {
         let next_epoch = AtomicU64::new(initial.epoch + 1);
         Self {
             cell: SnapshotCell::new(initial),
-            cache: ResultCache::new(cache_shards, cache_capacity),
+            cache: ResultCache::new(cache_capacity),
             ctx: Arc::new(ctx),
             next_epoch,
-            cache_enabled,
             degrade: Arc::new(DegradeStats::default()),
         }
     }
@@ -100,11 +91,6 @@ impl ServeState {
     /// Publishes a snapshot; readers see it on their next pin.
     pub fn publish(&self, snapshot: LiveSnapshot) {
         self.cell.publish(snapshot);
-    }
-
-    /// The query context (partition, params, store).
-    pub fn ctx(&self) -> &Arc<ServeContext> {
-        &self.ctx
     }
 }
 
@@ -137,53 +123,19 @@ impl ServeHandle {
         self.state.cache.stats()
     }
 
-    /// Whether results are cached (from the `[serving]` config).
-    pub fn cache_enabled(&self) -> bool {
-        self.state.cache_enabled
-    }
-
     /// Cached [`ReadView::red_regions`].
     pub fn red_regions(&self, first_day: u32, n_days: u32) -> Arc<Vec<(RegionId, Severity)>> {
-        let view = self.view();
-        let key = QueryKey {
-            kind: QueryKind::RedRegions,
-            first_day,
-            n_days,
-        };
-        if let Some(CachedValue::Red(v)) = self.lookup(&key, &view) {
-            return v;
-        }
-        let value = Arc::new(view.red_regions(first_day, n_days));
-        self.store(
-            key,
-            CachedValue::Red(value.clone()),
-            &view,
-            first_day,
-            n_days,
-        );
-        value
+        let answer = self.cached(QueryKind::RedRegions, first_day, n_days, |view| {
+            Ok(Arc::new(view.red_regions(first_day, n_days)))
+        });
+        answer.expect("red regions never fail")
     }
 
     /// Cached [`ReadView::query_guided`].
     pub fn query_guided(&self, first_day: u32, n_days: u32) -> cps_core::Result<Arc<GuidedQuery>> {
-        let view = self.view();
-        let key = QueryKey {
-            kind: QueryKind::Guided,
-            first_day,
-            n_days,
-        };
-        if let Some(CachedValue::Guided(v)) = self.lookup(&key, &view) {
-            return Ok(v);
-        }
-        let value = Arc::new(view.query_guided(first_day, n_days)?);
-        self.store(
-            key,
-            CachedValue::Guided(value.clone()),
-            &view,
-            first_day,
-            n_days,
-        );
-        Ok(value)
+        self.cached(QueryKind::Guided, first_day, n_days, |view| {
+            view.query_guided(first_day, n_days).map(Arc::new)
+        })
     }
 
     /// Cached [`ReadView::significant_clusters`].
@@ -192,40 +144,16 @@ impl ServeHandle {
         first_day: u32,
         n_days: u32,
     ) -> cps_core::Result<Arc<Vec<AtypicalCluster>>> {
-        let view = self.view();
-        let key = QueryKey {
-            kind: QueryKind::Significant,
-            first_day,
-            n_days,
-        };
-        if let Some(CachedValue::Clusters(v)) = self.lookup(&key, &view) {
-            return Ok(v);
-        }
-        let value = Arc::new(view.significant_clusters(first_day, n_days)?);
-        self.store(
-            key,
-            CachedValue::Clusters(value.clone()),
-            &view,
-            first_day,
-            n_days,
-        );
-        Ok(value)
+        self.cached(QueryKind::Significant, first_day, n_days, |view| {
+            view.significant_clusters(first_day, n_days).map(Arc::new)
+        })
     }
 
     /// Cached [`ReadView::micro_clusters_for_day`].
     pub fn micro_clusters_for_day(&self, day: u32) -> cps_core::Result<Arc<Vec<AtypicalCluster>>> {
-        let view = self.view();
-        let key = QueryKey {
-            kind: QueryKind::MicrosForDay,
-            first_day: day,
-            n_days: 1,
-        };
-        if let Some(CachedValue::Clusters(v)) = self.lookup(&key, &view) {
-            return Ok(v);
-        }
-        let value = view.micro_clusters_for_day(day)?;
-        self.store(key, CachedValue::Clusters(value.clone()), &view, day, 1);
-        Ok(value)
+        self.cached(QueryKind::MicrosForDay, day, 1, |view| {
+            view.micro_clusters_for_day(day)
+        })
     }
 
     /// Uncached [`ReadView::live_macro_clusters`] — the snapshot already
@@ -234,38 +162,56 @@ impl ServeHandle {
         self.view().live_macro_clusters()
     }
 
-    /// Deadline-bounded [`ReadView::query_guided_deadline`] against the
-    /// freshest published epoch. Deliberately uncached: a degraded
-    /// (partial) answer must never poison the cache for full-budget
-    /// readers. Degradations and budget overruns are counted in the
-    /// state's [`DegradeStats`].
+    /// Deadline-bounded [`ReadView::query_guided`] against the freshest
+    /// published epoch: once `budget` is spent, remaining *sealed* days
+    /// are omitted instead of read from storage (live days are always
+    /// served — they are pointer clones), and the answer comes back as a
+    /// [`Degraded`] stamped with the pinned epoch and the exact days
+    /// omitted. The caller gets an answer in bounded time, never a hang;
+    /// with a generous budget the result equals the undegraded query
+    /// exactly. Deliberately uncached: a degraded (partial) answer must
+    /// never poison the cache for full-budget readers. Degradations and
+    /// budget overruns are counted in the state's [`DegradeStats`].
     pub fn query_guided_deadline(
         &self,
         first_day: u32,
         n_days: u32,
-        budget: std::time::Duration,
+        budget: Duration,
     ) -> cps_core::Result<Degraded<GuidedQuery>> {
         let view = self.view();
         let deadline = QueryDeadline::new(budget);
-        let result = view.query_guided_deadline(first_day, n_days, &deadline)?;
-        self.count_degradation(&result.days_omitted, result.elapsed, budget);
-        Ok(result)
+        let (value, days_omitted) = view.guided_inner(first_day, n_days, Some(&deadline))?;
+        let elapsed = deadline.elapsed();
+        let degraded = !days_omitted.is_empty();
+        if degraded {
+            self.state.degrade.queries_degraded.fetch_add(1, Relaxed);
+        }
+        if elapsed > budget {
+            self.state.degrade.deadline_overruns.fetch_add(1, Relaxed);
+        }
+        Ok(Degraded {
+            value,
+            epoch: view.epoch(),
+            seal_epoch: view.seal_epoch(),
+            degraded,
+            days_omitted,
+            elapsed,
+        })
     }
 
-    /// Deadline-bounded [`ReadView::significant_clusters_deadline`]
-    /// against the freshest published epoch; uncached, like
+    /// Deadline-bounded [`ReadView::significant_clusters`], riding on
     /// [`query_guided_deadline`](Self::query_guided_deadline).
     pub fn significant_clusters_deadline(
         &self,
         first_day: u32,
         n_days: u32,
-        budget: std::time::Duration,
+        budget: Duration,
     ) -> cps_core::Result<Degraded<Vec<AtypicalCluster>>> {
-        let view = self.view();
-        let deadline = QueryDeadline::new(budget);
-        let result = view.significant_clusters_deadline(first_day, n_days, &deadline)?;
-        self.count_degradation(&result.days_omitted, result.elapsed, budget);
-        Ok(result)
+        let result = self.query_guided_deadline(first_day, n_days, budget)?;
+        Ok(result.map(|mut q| {
+            q.macros.retain(|c| c.severity() > q.threshold);
+            q.macros
+        }))
     }
 
     /// Counters of the deadline-bounded query path.
@@ -273,43 +219,37 @@ impl ServeHandle {
         self.state.degrade.snapshot()
     }
 
-    fn count_degradation(
+    /// Pins the freshest epoch and answers `kind` over the day range from
+    /// the cache, or computes it on the pinned view and caches it. The
+    /// entry is [`Stamp::Immutable`] when every day of the range is
+    /// sealed in the pinned snapshot, else stamped with its epoch.
+    fn cached<T: Send + Sync + 'static>(
         &self,
-        days_omitted: &[u32],
-        elapsed: std::time::Duration,
-        budget: std::time::Duration,
-    ) {
-        if !days_omitted.is_empty() {
-            self.state.degrade.queries_degraded.fetch_add(1, Relaxed);
-        }
-        if elapsed > budget {
-            self.state.degrade.deadline_overruns.fetch_add(1, Relaxed);
-        }
-    }
-
-    fn lookup(&self, key: &QueryKey, view: &ReadView) -> Option<CachedValue> {
-        if !self.state.cache_enabled {
-            return None;
-        }
-        self.state.cache.get(key, view.epoch())
-    }
-
-    fn store(
-        &self,
-        key: QueryKey,
-        value: CachedValue,
-        view: &ReadView,
+        kind: QueryKind,
         first_day: u32,
         n_days: u32,
-    ) {
-        if !self.state.cache_enabled {
-            return;
+        compute: impl FnOnce(&ReadView) -> cps_core::Result<Arc<T>>,
+    ) -> cps_core::Result<Arc<T>> {
+        let view = self.view();
+        let key = QueryKey {
+            kind,
+            first_day,
+            n_days,
+        };
+        if let Some(hit) = self.state.cache.get(&key, view.epoch()) {
+            return Ok(hit
+                .downcast()
+                .expect("a query kind always caches one answer type"));
         }
+        let value = compute(&view)?;
         let stamp = if view.snapshot().range_sealed(first_day, n_days) {
             Stamp::Immutable
         } else {
             Stamp::Epoch(view.epoch())
         };
-        self.state.cache.insert(key, value, stamp, view.epoch());
+        self.state
+            .cache
+            .insert(key, value.clone(), stamp, view.epoch());
+        Ok(value)
     }
 }

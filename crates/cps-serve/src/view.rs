@@ -3,16 +3,20 @@
 //! epoch.
 //!
 //! The merger publishes a [`LiveSnapshot`] through the
-//! [`SnapshotCell`](crate::epoch::SnapshotCell) whenever its live state
-//! changes (at a configurable cadence); the snapshot's containers are
+//! [`SnapshotCell`](crate::SnapshotCell) whenever its live state changes
+//! (at a configurable cadence); the snapshot's containers are
 //! copy-on-write `Arc`s shared with the live state, so a publication is a
 //! handful of pointer clones — no cluster is copied. A [`ReadView`] pins
 //! one snapshot: every query it answers sees the same epoch, so a
 //! multi-step drill-down (red regions, then guided integration, then a
 //! day's micro-clusters) is internally consistent even while ingest keeps
 //! mutating the live state behind it.
+//!
+//! A [`ReadView`] computes every answer afresh. It is the uncached path:
+//! [`ServeHandle`](crate::ServeHandle) puts the result cache in front of
+//! it, and every test compares the cached answers against it.
 
-use crate::deadline::{Degraded, QueryDeadline};
+use crate::deadline::QueryDeadline;
 use crate::QUERY_ID_BASE;
 use atypical::integrate::{integrate_aligned, TimeAlignment};
 use atypical::significant::significance_threshold;
@@ -202,47 +206,11 @@ impl ReadView {
         Ok(query)
     }
 
-    /// Deadline-bounded [`query_guided`](Self::query_guided): once
-    /// `deadline` expires, remaining *sealed* days are omitted instead of
+    /// [`query_guided`](Self::query_guided) with an optional deadline:
+    /// once it expires, remaining *sealed* days are omitted instead of
     /// read from storage (live days are always served — they are pointer
-    /// clones), and the answer comes back as a [`Degraded`] stamped with
-    /// the pinned epoch and the exact days omitted. The caller gets an
-    /// answer in bounded time, never a hang; with a generous budget the
-    /// result equals the undegraded query exactly.
-    pub fn query_guided_deadline(
-        &self,
-        first_day: u32,
-        n_days: u32,
-        deadline: &QueryDeadline,
-    ) -> cps_core::Result<Degraded<GuidedQuery>> {
-        let (query, days_omitted) = self.guided_inner(first_day, n_days, Some(deadline))?;
-        Ok(Degraded {
-            epoch: self.epoch(),
-            seal_epoch: self.seal_epoch(),
-            degraded: !days_omitted.is_empty(),
-            days_omitted,
-            elapsed: deadline.elapsed(),
-            value: query,
-        })
-    }
-
-    /// Deadline-bounded
-    /// [`significant_clusters`](Self::significant_clusters), riding on
-    /// [`query_guided_deadline`](Self::query_guided_deadline).
-    pub fn significant_clusters_deadline(
-        &self,
-        first_day: u32,
-        n_days: u32,
-        deadline: &QueryDeadline,
-    ) -> cps_core::Result<Degraded<Vec<AtypicalCluster>>> {
-        let result = self.query_guided_deadline(first_day, n_days, deadline)?;
-        Ok(result.map(|mut q| {
-            q.macros.retain(|c| c.severity() > q.threshold);
-            q.macros
-        }))
-    }
-
-    fn guided_inner(
+    /// clones). Returns the answer and the days omitted.
+    pub(crate) fn guided_inner(
         &self,
         first_day: u32,
         n_days: u32,

@@ -74,6 +74,7 @@
 //! 2–5, cube-vs-clusters, indexed-vs-naive and parallel bit-identity,
 //! batched-ingest and serve differentials) for free.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

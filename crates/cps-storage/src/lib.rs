@@ -24,6 +24,7 @@
 //! * [`wal`] — a CRC-framed, segment-rotated append log with clean-prefix
 //!   crash recovery; the monitor journals accepted records through it.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

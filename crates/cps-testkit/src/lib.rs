@@ -35,6 +35,7 @@
 //! storms — into seeded multi-fault scenarios asserting liveness, exact
 //! record accounting, and bounded staleness.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -23,6 +23,14 @@ echo "==> PROPTEST_CASES=${PROPTEST_CASES}"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+# No unsafe code: every library crate forbids it, and this also covers
+# binaries, tests and examples.
+echo "==> no unsafe code"
+if git grep -nw unsafe -- crates tests examples; then
+  echo "unsafe code found above" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
