@@ -561,13 +561,11 @@ mod tests {
         assert_eq!(Strategy::Gui.label(), "Gui");
     }
 
-    /// `execute_stored` must agree with in-memory `execute` on everything
-    /// but wall-clock and macro ids — for every strategy, scoped and
-    /// unscoped, over columnar segments and over legacy row buckets.
+    /// `execute_stored` over the segment store must agree with in-memory
+    /// `execute` on everything but wall-clock and macro ids — for every
+    /// strategy, scoped and unscoped.
     #[test]
     fn stored_execution_matches_in_memory_on_both_backends() {
-        use crate::store::tests::plant_row_bucket;
-
         let mut fx = fixture();
         let params = *fx.forest.params();
         let spec = fx.forest.spec();
@@ -575,39 +573,28 @@ mod tests {
         let bbox = BoundingBox::of_point(LOS_ANGELES).inflated_miles(2.0);
         let queries = [Query::days(0, 14), Query::days(2, 7).in_bbox(bbox)];
 
-        for legacy_row in [true, false] {
-            let dir = ScratchDir::new("query-stored");
-            let store = ForestStore::open(&dir).unwrap();
-            if legacy_row {
-                for day in fx.forest.days().collect::<Vec<_>>() {
-                    plant_row_bucket(&dir, ForestLevel::Day, day, fx.forest.day(day));
-                }
-            } else {
-                store.save_forest_days(&fx.forest).unwrap();
-            }
+        let dir = ScratchDir::new("query-stored");
+        let store = ForestStore::open(&dir).unwrap();
+        store.save_forest_days(&fx.forest).unwrap();
 
-            for query in &queries {
-                for strategy in [Strategy::All, Strategy::Pru, Strategy::Gui] {
-                    let mem = engine.execute(&mut fx.forest, query, strategy);
-                    let mut ids = ClusterIdGen::new(QUERY_ID_BASE);
-                    let stored = engine
-                        .execute_stored(&store, spec, query, strategy, &mut ids)
-                        .unwrap();
-                    let tag = format!(
-                        "legacy_row={legacy_row} {strategy:?} bbox={}",
-                        query.bbox.is_some()
-                    );
-                    assert_eq!(stored.candidate_clusters, mem.candidate_clusters, "{tag}");
-                    assert_eq!(stored.input_clusters, mem.input_clusters, "{tag}");
-                    assert_eq!(stored.num_red_regions, mem.num_red_regions, "{tag}");
-                    assert_eq!(stored.threshold, mem.threshold, "{tag}");
-                    assert_eq!(stored.n_sensors, mem.n_sensors, "{tag}");
-                    assert_eq!(stored.range, mem.range, "{tag}");
-                    assert_eq!(stored.macros.len(), mem.macros.len(), "{tag}");
-                    for (s, m) in stored.macros.iter().zip(&mem.macros) {
-                        assert_eq!(s.sf, m.sf, "{tag}");
-                        assert_eq!(s.tf, m.tf, "{tag}");
-                    }
+        for query in &queries {
+            for strategy in [Strategy::All, Strategy::Pru, Strategy::Gui] {
+                let mem = engine.execute(&mut fx.forest, query, strategy);
+                let mut ids = ClusterIdGen::new(QUERY_ID_BASE);
+                let stored = engine
+                    .execute_stored(&store, spec, query, strategy, &mut ids)
+                    .unwrap();
+                let tag = format!("{strategy:?} bbox={}", query.bbox.is_some());
+                assert_eq!(stored.candidate_clusters, mem.candidate_clusters, "{tag}");
+                assert_eq!(stored.input_clusters, mem.input_clusters, "{tag}");
+                assert_eq!(stored.num_red_regions, mem.num_red_regions, "{tag}");
+                assert_eq!(stored.threshold, mem.threshold, "{tag}");
+                assert_eq!(stored.n_sensors, mem.n_sensors, "{tag}");
+                assert_eq!(stored.range, mem.range, "{tag}");
+                assert_eq!(stored.macros.len(), mem.macros.len(), "{tag}");
+                for (s, m) in stored.macros.iter().zip(&mem.macros) {
+                    assert_eq!(s.sf, m.sf, "{tag}");
+                    assert_eq!(s.tf, m.tf, "{tag}");
                 }
             }
         }

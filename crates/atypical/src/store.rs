@@ -6,30 +6,19 @@
 //! This module is that persistence layer: cluster sets are written one
 //! file per (level, bucket) — e.g. the micro-clusters of day 17 or the
 //! macro-clusters of week 3 — and loaded on demand when a query touches
-//! the bucket. Buckets are written in one format and read in two:
+//! the bucket. [`ForestStore`] is the only way in.
 //!
-//! * **Columnar** (`.acs`, the only format written): a zone-mapped
-//!   [`cps_storage::segment`] whose chunks hold ~[`CLUSTERS_PER_CHUNK`]
-//!   clusters as delta+varint/RLE column streams, sorted by first sensor
-//!   so a red-zone [`Predicate`] skips whole chunks (and segments)
-//!   without decoding them. [`load_filtered`](ForestStore::load_filtered)
-//!   is the pushdown entry point; results are restored to the exact
-//!   insertion order via a stored position column, so answers equal a
-//!   full decode followed by [`cluster_matches`].
-//! * **Row** (`.acf`, the original format): read-only, migrated on save.
-//!   A store directory written by an older build keeps loading; every
-//!   cluster of such a bucket is decoded on every load.
+//! A bucket is one columnar `.acs` file: a zone-mapped
+//! [`cps_storage::segment`] whose chunks hold ~[`CLUSTERS_PER_CHUNK`]
+//! clusters as delta+varint/RLE column streams, sorted by first sensor so
+//! a red-zone [`Predicate`] skips whole chunks (and segments) without
+//! decoding them. [`load_filtered`](ForestStore::load_filtered) is the
+//! pushdown entry point; results are restored to the exact insertion
+//! order via a stored position column, so answers equal a full decode
+//! followed by [`cluster_matches`]. A segment of any other version is a
+//! typed [`CpsError::VersionMismatch`] naming the file.
 //!
-//! Row format (little-endian):
-//!
-//! ```text
-//! file    := magic "ACF1" | count u32 | crc u32 | cluster*
-//! cluster := id u64 | merged u32 | |SF| u32 | |TF| u32
-//!            (sensor u32, severity u64)^|SF|
-//!            (window u32, severity u64)^|TF|
-//! ```
-//!
-//! Columnar chunk payload (inside a `CSG1` segment, kind 1; every column
+//! Chunk payload (inside a `CSG1` segment, kind 1; every column
 //! is one stream, clusters in min-sensor order within the segment):
 //!
 //! ```text
@@ -41,19 +30,15 @@
 
 use crate::cluster::AtypicalCluster;
 use crate::feature::{SpatialFeature, TemporalFeature};
-use bytes::{Buf, BufMut};
 use cps_core::{ClusterId, CpsError, Result, SensorId, Severity, TimeWindow};
-use cps_storage::crc::crc32;
 use cps_storage::iostats::{IoSnapshot, IoStats};
 use cps_storage::segment::{
     get_rle_u64, get_uvarint, get_zigzag_deltas, put_rle_u64, put_uvarint, put_zigzag_deltas,
-    scan_segment, SegmentScan, SegmentWriter, ZoneMap,
+    scan_segment, SegmentWriter, ZoneMap,
 };
 use cps_storage::{Io, Predicate};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-const MAGIC: [u8; 4] = *b"ACF1";
 
 /// Segment `kind` tag for cluster segments.
 const SEGMENT_KIND_CLUSTERS: u8 = 1;
@@ -67,125 +52,6 @@ const SEGMENT_KIND_CLUSTERS: u8 = 1;
 /// about 15% more file bytes than 8-cluster chunks — which the exact
 /// per-chunk sensor lists already dominate anyway.
 pub const CLUSTERS_PER_CHUNK: usize = 4;
-
-/// Encodes one cluster into `buf`. Public so other durable formats (the
-/// monitor's checkpoint) reuse the exact `⟨ID, SF, TF⟩` byte layout —
-/// and so bit-identity tests can compare states via this serialization.
-pub fn encode_cluster(c: &AtypicalCluster, buf: &mut Vec<u8>) {
-    buf.put_u64_le(c.id.raw());
-    buf.put_u32_le(c.merged_count);
-    buf.put_u32_le(c.sf.len() as u32);
-    buf.put_u32_le(c.tf.len() as u32);
-    for (s, sev) in c.sf.iter() {
-        buf.put_u32_le(s.raw());
-        buf.put_u64_le(sev.as_secs());
-    }
-    for (w, sev) in c.tf.iter() {
-        buf.put_u32_le(w.raw());
-        buf.put_u64_le(sev.as_secs());
-    }
-}
-
-/// Decodes one cluster, advancing `buf`. Inverse of [`encode_cluster`].
-pub fn decode_cluster(buf: &mut &[u8]) -> Result<AtypicalCluster> {
-    if buf.remaining() < 20 {
-        return Err(CpsError::corrupt(
-            "cluster file",
-            "truncated cluster header",
-        ));
-    }
-    let id = ClusterId::new(buf.get_u64_le());
-    let merged_count = buf.get_u32_le();
-    let sf_len = buf.get_u32_le() as usize;
-    let tf_len = buf.get_u32_le() as usize;
-    if buf.remaining() < (sf_len + tf_len) * 12 {
-        return Err(CpsError::corrupt("cluster file", "truncated feature data"));
-    }
-    let mut sf_pairs = Vec::with_capacity(sf_len);
-    for _ in 0..sf_len {
-        let s = SensorId::new(buf.get_u32_le());
-        let sev = Severity::from_secs(buf.get_u64_le());
-        sf_pairs.push((s, sev));
-    }
-    let mut tf_pairs = Vec::with_capacity(tf_len);
-    for _ in 0..tf_len {
-        let w = TimeWindow::new(buf.get_u32_le());
-        let sev = Severity::from_secs(buf.get_u64_le());
-        tf_pairs.push((w, sev));
-    }
-    let sf: SpatialFeature = sf_pairs.into_iter().collect();
-    let tf: TemporalFeature = tf_pairs.into_iter().collect();
-    if sf.total() != tf.total() {
-        return Err(CpsError::corrupt(
-            "cluster file",
-            format!("cluster {id}: SF/TF totals disagree"),
-        ));
-    }
-    let mut cluster = AtypicalCluster::new(id, sf, tf);
-    cluster.merged_count = merged_count;
-    Ok(cluster)
-}
-
-/// Reads a legacy row-format (`.acf`) cluster set from `path`, verifying
-/// the checksum.
-pub fn read_clusters(path: &Path) -> Result<Vec<AtypicalCluster>> {
-    read_clusters_with(&Io::real(), path)
-}
-
-/// [`read_clusters`] through an explicit I/O backend.
-pub fn read_clusters_with(io: &Io, path: &Path) -> Result<Vec<AtypicalCluster>> {
-    read_clusters_row_stats(io, path, None)
-}
-
-/// Row read with I/O accounting: the whole payload is always decoded, so
-/// `bytes_decoded` advances by the full payload length.
-fn read_clusters_row_stats(
-    io: &Io,
-    path: &Path,
-    stats: Option<&IoStats>,
-) -> Result<Vec<AtypicalCluster>> {
-    let raw = io.read_to_vec(path)?;
-    if let Some(s) = stats {
-        s.add_file();
-        s.add_bytes(raw.len() as u64);
-        s.add_bytes_decoded(raw.len().saturating_sub(12) as u64);
-    }
-    if raw.len() < 12 || raw[..4] != MAGIC {
-        return Err(CpsError::corrupt(
-            path.display().to_string(),
-            "bad magic or truncated header",
-        ));
-    }
-    let mut header = &raw[4..12];
-    let count = header.get_u32_le() as usize;
-    let expected_crc = header.get_u32_le();
-    let payload = &raw[12..];
-    if crc32(payload) != expected_crc {
-        return Err(CpsError::corrupt(
-            path.display().to_string(),
-            "checksum mismatch",
-        ));
-    }
-    let mut buf = payload;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        out.push(decode_cluster(&mut buf)?);
-    }
-    if buf.has_remaining() {
-        return Err(CpsError::corrupt(
-            path.display().to_string(),
-            "trailing bytes after last cluster",
-        ));
-    }
-    if let Some(s) = stats {
-        s.add_records(out.len() as u64);
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// Columnar format: cluster column chunks inside a zone-mapped segment.
-// ---------------------------------------------------------------------------
 
 /// Exact record-level form of a [`Predicate`] over clusters — the filter
 /// pushdown must agree with. A cluster matches when it touches one of the
@@ -268,9 +134,8 @@ fn chunk_corrupt(detail: impl Into<String>) -> CpsError {
 }
 
 /// Decodes one cluster column chunk into `(position, cluster)` pairs.
-/// Inverse of [`encode_cluster_chunk`]; every structural invariant the
-/// row decoder enforces (SF/TF totals agree, no trailing bytes) is
-/// enforced here too.
+/// Inverse of [`encode_cluster_chunk`]; duplicate feature keys, SF/TF
+/// totals that disagree and trailing bytes are `Corrupt`.
 fn decode_cluster_chunk(n: usize, mut buf: &[u8]) -> Result<Vec<(u32, AtypicalCluster)>> {
     let mut positions = Vec::new();
     get_zigzag_deltas(&mut buf, n, &mut positions)?;
@@ -361,11 +226,7 @@ fn decode_cluster_chunk(n: usize, mut buf: &[u8]) -> Result<Vec<(u32, AtypicalCl
 /// Clusters are chunked in first-sensor order so sensor zone maps are
 /// tight; the stored position column lets readers restore the original
 /// order exactly.
-pub fn write_clusters_columnar_with(
-    io: &Io,
-    path: &Path,
-    clusters: &[AtypicalCluster],
-) -> Result<()> {
+fn write_clusters_columnar_with(io: &Io, path: &Path, clusters: &[AtypicalCluster]) -> Result<()> {
     let mut order: Vec<u32> = (0..clusters.len() as u32).collect();
     order.sort_by_key(|&i| {
         let c = &clusters[i as usize];
@@ -385,7 +246,8 @@ pub fn write_clusters_columnar_with(
     writer.commit(io, path, SEGMENT_KIND_CLUSTERS)
 }
 
-/// Outcome of a filtered columnar (or row) bucket load.
+/// Outcome of a filtered bucket load. Scan counters (chunks decoded and
+/// skipped, bytes decoded) go to [`ForestStore::io_stats`].
 #[derive(Debug)]
 pub struct FilteredClusters {
     /// Clusters matching the predicate, in original insertion order.
@@ -393,14 +255,12 @@ pub struct FilteredClusters {
     /// Records in the whole bucket (candidates before filtering) — from
     /// the segment meta, without decoding skipped chunks.
     pub total: usize,
-    /// Scan counters (chunks decoded/skipped, bytes decoded).
-    pub scan: SegmentScan,
 }
 
 /// Reads the clusters of a columnar segment that match `pred`, restored
 /// to original insertion order, decoding only chunks whose zone maps
 /// admit the predicate.
-pub fn read_clusters_columnar_filtered(
+fn read_clusters_columnar_filtered(
     io: &Io,
     path: &Path,
     pred: &Predicate,
@@ -444,12 +304,11 @@ pub fn read_clusters_columnar_filtered(
     Ok(FilteredClusters {
         clusters: found.into_iter().map(|(_, c)| c).collect(),
         total: scan.total_records as usize,
-        scan,
     })
 }
 
 /// Reads every cluster of a columnar segment, in original order.
-pub fn read_clusters_columnar_with(
+fn read_clusters_columnar_with(
     io: &Io,
     path: &Path,
     stats: Option<&IoStats>,
@@ -486,21 +345,9 @@ impl ForestLevel {
     }
 }
 
-/// A materialized bucket's file, by format.
-enum BucketFile {
-    /// A columnar `.acs` segment.
-    Columnar(PathBuf),
-    /// A legacy row `.acf` bucket (read-only).
-    Row(PathBuf),
-}
-
 /// Directory-backed store of materialized forest levels.
 ///
-/// Layout: `<root>/clusters/<level>-<bucket>.acs`. Loads also resolve a
-/// legacy row `<level>-<bucket>.acf` — a store directory written by an
-/// older build keeps working — and a `save` migrates such a bucket to
-/// columnar (the stale `.acf` twin is removed after the new file
-/// commits).
+/// Layout: `<root>/clusters/<level>-<bucket>.acs`.
 pub struct ForestStore {
     root: PathBuf,
     io: Io,
@@ -529,118 +376,75 @@ impl ForestStore {
         self.stats.snapshot()
     }
 
-    fn path_as(&self, extension: &str, level: ForestLevel, bucket: u32) -> PathBuf {
+    /// The segment holding a bucket, if it was materialized.
+    fn resolve(&self, level: ForestLevel, bucket: u32) -> Option<PathBuf> {
+        let path = self.bucket_path(level, bucket);
+        path.exists().then_some(path)
+    }
+
+    /// Filesystem path of one bucket's segment, for observability (e.g.
+    /// reporting snapshot sizes); the file may not exist yet.
+    pub fn bucket_path(&self, level: ForestLevel, bucket: u32) -> PathBuf {
         self.root
             .join("clusters")
-            .join(format!("{}-{bucket:05}.{extension}", level.prefix()))
+            .join(format!("{}-{bucket:05}.acs", level.prefix()))
     }
 
-    /// The file holding a bucket. The columnar segment wins when both
-    /// formats exist (a crash between commit and twin removal can leave
-    /// both behind; the fresh write is the truth).
-    fn resolve(&self, level: ForestLevel, bucket: u32) -> Option<BucketFile> {
-        let columnar = self.bucket_path(level, bucket);
-        if columnar.exists() {
-            return Some(BucketFile::Columnar(columnar));
-        }
-        let row = self.path_as("acf", level, bucket);
-        row.exists().then_some(BucketFile::Row(row))
-    }
-
-    /// Filesystem path of one bucket's columnar segment, for
-    /// observability (e.g. reporting snapshot sizes); the file may not
-    /// exist yet.
-    pub fn bucket_path(&self, level: ForestLevel, bucket: u32) -> PathBuf {
-        self.path_as("acs", level, bucket)
-    }
-
-    /// Persists one bucket of a level as a columnar segment, then removes
-    /// a legacy row twin (if any) so readers cannot resolve outdated data.
+    /// Persists one bucket of a level as a segment.
     pub fn save(
         &self,
         level: ForestLevel,
         bucket: u32,
         clusters: &[AtypicalCluster],
     ) -> Result<()> {
-        write_clusters_columnar_with(&self.io, &self.bucket_path(level, bucket), clusters)?;
-        let twin = self.path_as("acf", level, bucket);
-        if twin.exists() {
-            self.io.remove_file(&twin)?;
-        }
-        Ok(())
+        write_clusters_columnar_with(&self.io, &self.bucket_path(level, bucket), clusters)
     }
 
     /// Loads one bucket, or `None` if it was never materialized.
     pub fn load(&self, level: ForestLevel, bucket: u32) -> Result<Option<Vec<AtypicalCluster>>> {
-        match self.resolve(level, bucket) {
-            None => Ok(None),
-            Some(BucketFile::Row(path)) => {
-                read_clusters_row_stats(&self.io, &path, Some(&self.stats)).map(Some)
-            }
-            Some(BucketFile::Columnar(path)) => {
-                read_clusters_columnar_with(&self.io, &path, Some(&self.stats)).map(Some)
-            }
-        }
+        self.resolve(level, bucket)
+            .map(|path| read_clusters_columnar_with(&self.io, &path, Some(&self.stats)))
+            .transpose()
     }
 
     /// Loads the clusters of one bucket that match `pred`, in original
-    /// order, plus the bucket's total record count. On a columnar
-    /// segment, chunks (or the whole segment) whose zone maps refute the
-    /// predicate are skipped without decoding; a legacy row bucket is
-    /// fully decoded and filtered in memory — the exact result is
-    /// identical by construction.
+    /// order, plus the bucket's total record count. Chunks (or the whole
+    /// segment) whose zone maps refute the predicate are skipped without
+    /// decoding; the result equals a full load filtered by
+    /// [`cluster_matches`].
     pub fn load_filtered(
         &self,
         level: ForestLevel,
         bucket: u32,
         pred: &Predicate,
     ) -> Result<Option<FilteredClusters>> {
-        match self.resolve(level, bucket) {
-            None => Ok(None),
-            Some(BucketFile::Row(path)) => {
-                let all = read_clusters_row_stats(&self.io, &path, Some(&self.stats))?;
-                let total = all.len();
-                let clusters: Vec<AtypicalCluster> = all
-                    .into_iter()
-                    .filter(|c| cluster_matches(c, pred))
-                    .collect();
-                Ok(Some(FilteredClusters {
-                    clusters,
-                    total,
-                    scan: SegmentScan::default(),
-                }))
-            }
-            Some(BucketFile::Columnar(path)) => {
-                read_clusters_columnar_filtered(&self.io, &path, pred, Some(&self.stats)).map(Some)
-            }
-        }
+        self.resolve(level, bucket)
+            .map(|path| read_clusters_columnar_filtered(&self.io, &path, pred, Some(&self.stats)))
+            .transpose()
     }
 
-    /// Whether a bucket is materialized (in either format).
+    /// Whether a bucket is materialized.
     pub fn contains(&self, level: ForestLevel, bucket: u32) -> bool {
         self.resolve(level, bucket).is_some()
     }
 
-    /// Buckets materialized at a level (in either format), sorted.
+    /// Buckets materialized at a level, sorted.
     pub fn buckets(&self, level: ForestLevel) -> Result<Vec<u32>> {
         let mut out = Vec::new();
         let prefix = format!("{}-", level.prefix());
         for entry in std::fs::read_dir(self.root.join("clusters"))? {
             let name = entry?.file_name();
             let name = name.to_string_lossy();
-            if let Some(rest) = name.strip_prefix(&prefix) {
-                if let Some(num) = rest
-                    .strip_suffix(".acf")
-                    .or_else(|| rest.strip_suffix(".acs"))
-                {
-                    if let Ok(b) = num.parse() {
-                        out.push(b);
-                    }
+            if let Some(num) = name
+                .strip_prefix(&prefix)
+                .and_then(|rest| rest.strip_suffix(".acs"))
+            {
+                if let Ok(b) = num.parse() {
+                    out.push(b);
                 }
             }
         }
         out.sort_unstable();
-        out.dedup();
         Ok(out)
     }
 
@@ -672,40 +476,10 @@ impl ForestStore {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use cps_core::ScratchDir;
     use cps_core::{Params, WindowSpec};
-
-    /// Reference encoder of the legacy row format, which the store only
-    /// reads: the bytes an older build left on disk.
-    pub(crate) fn encode_row_bucket(clusters: &[AtypicalCluster]) -> Vec<u8> {
-        let mut payload = Vec::new();
-        for c in clusters {
-            encode_cluster(c, &mut payload);
-        }
-        let mut file = Vec::with_capacity(12 + payload.len());
-        file.put_slice(&MAGIC);
-        file.put_u32_le(clusters.len() as u32);
-        file.put_u32_le(crc32(&payload));
-        file.extend_from_slice(&payload);
-        file
-    }
-
-    /// Plants `clusters` as a legacy row bucket in the store under `root`.
-    pub(crate) fn plant_row_bucket(
-        root: &Path,
-        level: ForestLevel,
-        bucket: u32,
-        clusters: &[AtypicalCluster],
-    ) -> PathBuf {
-        let path = root
-            .join("clusters")
-            .join(format!("{}-{bucket:05}.acf", level.prefix()));
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, encode_row_bucket(clusters)).unwrap();
-        path
-    }
 
     fn cluster(id: u64, base: u32, n: u32) -> AtypicalCluster {
         let sf: SpatialFeature = (base..base + n)
@@ -715,66 +489,6 @@ pub(crate) mod tests {
             .map(|w| (TimeWindow::new(w), Severity::from_secs(60 + u64::from(w))))
             .collect();
         AtypicalCluster::new(ClusterId::new(id), sf, tf)
-    }
-
-    #[test]
-    fn roundtrip_preserves_clusters_exactly() {
-        let dir = ScratchDir::new("roundtrip");
-        let clusters: Vec<AtypicalCluster> =
-            (0..20).map(|i| cluster(i, (i as u32) * 3, 5)).collect();
-        let path = plant_row_bucket(&dir, ForestLevel::Day, 0, &clusters);
-        let back = read_clusters(&path).unwrap();
-        assert_eq!(clusters, back);
-    }
-
-    #[test]
-    fn empty_set_roundtrips() {
-        let dir = ScratchDir::new("empty");
-        let path = plant_row_bucket(&dir, ForestLevel::Day, 0, &[]);
-        assert!(read_clusters(&path).unwrap().is_empty());
-    }
-
-    #[test]
-    fn corruption_is_detected() {
-        let dir = ScratchDir::new("corrupt");
-        let path = plant_row_bucket(&dir, ForestLevel::Day, 0, &[cluster(1, 0, 4)]);
-        let mut raw = std::fs::read(&path).unwrap();
-        let len = raw.len();
-        raw[len - 3] ^= 0xFF;
-        std::fs::write(&path, raw).unwrap();
-        let err = read_clusters(&path).unwrap_err();
-        assert!(err.to_string().contains("checksum"));
-    }
-
-    #[test]
-    fn truncation_at_every_byte_boundary_is_a_corrupt_error() {
-        let dir = ScratchDir::new("truncate");
-        let clusters: Vec<AtypicalCluster> =
-            (0..3).map(|i| cluster(i, (i as u32) * 4, 4)).collect();
-        let path = plant_row_bucket(&dir, ForestLevel::Day, 0, &clusters);
-        let full = std::fs::read(&path).unwrap();
-        assert!(full.len() > 12, "payload must be non-trivial");
-        for len in 0..full.len() {
-            std::fs::write(&path, &full[..len]).unwrap();
-            // Must be a structured Corrupt error — never a panic and never
-            // a silent partial read.
-            match read_clusters(&path) {
-                Err(CpsError::Corrupt { .. }) => {}
-                Err(other) => panic!("truncation at byte {len}: wrong error kind {other:?}"),
-                Ok(read) => panic!(
-                    "truncation at byte {len} silently read {} cluster(s)",
-                    read.len()
-                ),
-            }
-        }
-    }
-
-    #[test]
-    fn garbage_header_is_rejected() {
-        let dir = ScratchDir::new("garbage");
-        let path = dir.join("x.acf");
-        std::fs::write(&path, b"not a cluster file").unwrap();
-        assert!(read_clusters(&path).is_err());
     }
 
     #[test]
@@ -847,23 +561,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn row_and_columnar_backends_agree() {
-        let dir_r = ScratchDir::new("diff-row");
-        let dir_c = ScratchDir::new("diff-col");
-        let clusters: Vec<AtypicalCluster> = (0..50)
-            .map(|i| cluster(i, ((i as u32) * 13) % 90, 3))
-            .collect();
-        plant_row_bucket(&dir_r, ForestLevel::Day, 0, &clusters);
-        let row = ForestStore::open(&dir_r).unwrap();
-        let col = ForestStore::open(&dir_c).unwrap();
-        col.save(ForestLevel::Day, 0, &clusters).unwrap();
-        let from_row = row.load(ForestLevel::Day, 0).unwrap().unwrap();
-        let from_col = col.load(ForestLevel::Day, 0).unwrap().unwrap();
-        assert_eq!(from_row, from_col);
-        assert_eq!(from_row, clusters);
-    }
-
-    #[test]
     fn filtered_load_equals_full_load_plus_filter_on_both_backends() {
         let clusters: Vec<AtypicalCluster> = (0..80)
             .map(|i| cluster(i, ((i as u32) * 7) % 120, 3))
@@ -880,27 +577,23 @@ pub(crate) mod tests {
                 .with_sensors((0..15).map(SensorId::new))
                 .with_severity_above(Severity::from_secs(100)),
         ];
-        for legacy_row in [true, false] {
-            let dir = ScratchDir::new("filter");
-            let store = ForestStore::open(&dir).unwrap();
-            if legacy_row {
-                plant_row_bucket(&dir, ForestLevel::Day, 0, &clusters);
-            } else {
-                store.save(ForestLevel::Day, 0, &clusters).unwrap();
-            }
-            for pred in &preds {
-                let got = store
-                    .load_filtered(ForestLevel::Day, 0, pred)
-                    .unwrap()
-                    .unwrap();
-                let want: Vec<AtypicalCluster> = clusters
-                    .iter()
-                    .filter(|c| cluster_matches(c, pred))
-                    .cloned()
-                    .collect();
-                assert_eq!(got.clusters, want, "legacy_row={legacy_row} {pred:?}");
-                assert_eq!(got.total, clusters.len());
-            }
+        let dir = ScratchDir::new("filter");
+        let store = ForestStore::open(&dir).unwrap();
+        store.save(ForestLevel::Day, 0, &clusters).unwrap();
+        let full = store.load(ForestLevel::Day, 0).unwrap().unwrap();
+        assert_eq!(full, clusters);
+        for pred in &preds {
+            let got = store
+                .load_filtered(ForestLevel::Day, 0, pred)
+                .unwrap()
+                .unwrap();
+            let want: Vec<AtypicalCluster> = full
+                .iter()
+                .filter(|c| cluster_matches(c, pred))
+                .cloned()
+                .collect();
+            assert_eq!(got.clusters, want, "{pred:?}");
+            assert_eq!(got.total, clusters.len());
         }
     }
 
@@ -952,46 +645,6 @@ pub(crate) mod tests {
         assert_eq!(got.total, 10);
         assert_eq!(delta.segments_skipped, 1);
         assert_eq!(delta.bytes_decoded, 0);
-    }
-
-    #[test]
-    fn columnar_store_reads_legacy_row_buckets() {
-        // A copy of the checked-in legacy bucket, planted as day 7.
-        const FIXTURE: &[u8] =
-            include_bytes!("../../cps-testkit/tests/fixtures/legacy-row-day-00000.acf");
-        let dir = ScratchDir::new("migrate");
-        let row_path = dir.join("clusters").join("day-00007.acf");
-        std::fs::create_dir_all(row_path.parent().unwrap()).unwrap();
-        std::fs::write(&row_path, FIXTURE).unwrap();
-        let clusters = read_clusters(&row_path).unwrap();
-        assert!(!clusters.is_empty());
-        // The test-only row encoder reproduces the legacy bytes exactly.
-        assert_eq!(encode_row_bucket(&clusters), FIXTURE);
-
-        // The store must resolve, load, and filter the legacy bucket.
-        let store = ForestStore::open(&dir).unwrap();
-        assert!(store.contains(ForestLevel::Day, 7));
-        assert_eq!(store.buckets(ForestLevel::Day).unwrap(), vec![7]);
-        assert_eq!(store.load(ForestLevel::Day, 7).unwrap().unwrap(), clusters);
-        let first = clusters[0].sf.keys().next().unwrap();
-        let pred = Predicate::all().with_sensors([first]);
-        let filtered = store
-            .load_filtered(ForestLevel::Day, 7, &pred)
-            .unwrap()
-            .unwrap();
-        let want: Vec<AtypicalCluster> = clusters
-            .iter()
-            .filter(|c| cluster_matches(c, &pred))
-            .cloned()
-            .collect();
-        assert!(!want.is_empty());
-        assert_eq!(filtered.clusters, want);
-        // A save migrates the bucket: the .acs file appears and the stale
-        // .acf twin is removed.
-        store.save(ForestLevel::Day, 7, &clusters).unwrap();
-        assert!(store.bucket_path(ForestLevel::Day, 7).exists());
-        assert!(!row_path.exists());
-        assert_eq!(store.load(ForestLevel::Day, 7).unwrap().unwrap(), clusters);
     }
 
     #[test]

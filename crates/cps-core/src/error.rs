@@ -22,8 +22,12 @@ pub enum CpsError {
     InvalidParameter(String),
     /// A referenced entity (dataset, sensor, region) does not exist.
     NotFound(String),
-    /// The on-disk format version is not understood.
+    /// A file's format version is not the one this build writes. Every
+    /// format has one version and one reader; any other version is this
+    /// error, never a second decode path.
     VersionMismatch {
+        /// The file that was being read.
+        context: String,
         /// Version found in the file.
         found: u32,
         /// Version this build expects.
@@ -50,12 +54,14 @@ impl fmt::Display for CpsError {
             }
             CpsError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
             CpsError::NotFound(what) => write!(f, "not found: {what}"),
-            CpsError::VersionMismatch { found, expected } => {
-                write!(
-                    f,
-                    "format version mismatch: found v{found}, expected v{expected}"
-                )
-            }
+            CpsError::VersionMismatch {
+                context,
+                found,
+                expected,
+            } => write!(
+                f,
+                "format version mismatch in {context}: found v{found}, expected v{expected}"
+            ),
         }
     }
 }
@@ -87,10 +93,14 @@ mod tests {
             "corrupt data while reading block 7: bad checksum"
         );
         let e = CpsError::VersionMismatch {
+            context: "/data/seg.acs".into(),
             found: 2,
             expected: 1,
         };
-        assert!(e.to_string().contains("v2"));
+        assert_eq!(
+            e.to_string(),
+            "format version mismatch in /data/seg.acs: found v2, expected v1"
+        );
         assert!(CpsError::NotFound("D13".into()).to_string().contains("D13"));
     }
 

@@ -8,23 +8,19 @@
 //!
 //! ```text
 //! entry := seq u64 | tag u8 | body
-//! body  := record (16 B, `cps_storage::format::encode_atypical`)   tag 0 (read only)
-//!        | window u32                                              tag 1
+//! body  := window u32                                              tag 1
 //!        | flush_first u64 | flush_len u32 | count u32
-//!          | count × record (16 B each)                            tag 2
+//!          | count × record (16 B each,
+//!            `cps_storage::format::encode_atypical`)               tag 2
 //!        | epoch u64 | num_cuts u32 | num_cuts × cut u32           tag 3
 //! ```
+//!
+//! Any other tag is `Corrupt`.
 //!
 //! `seq` is a *global* append counter across every shard's log, so the
 //! union of all shard logs, sorted by `seq`, is exactly the sequence of
 //! messages the ingest thread successfully sent — recovery replays it
 //! single-threadedly and lands in the same state.
-//!
-//! Records are only ever written as **batch** entries. A lone-record
-//! entry (tag 0) is what the service logged per `ingest` call before
-//! ingest became batch-only; it is still decoded and replayed, so a
-//! `wal_dir` left by such a build recovers (pinned by the checked-in
-//! fixture `cps-testkit/tests/fixtures/legacy-wal-tag0`).
 //!
 //! A **batch** entry (tag 2) logs one whole sub-batch sent to a shard in a
 //! single WAL frame, amortizing the frame CRC, the `Io` write and the
@@ -61,13 +57,24 @@
 //! merger has processed every message the workers produced. The document
 //! therefore captures an exact "state after ingest prefix P" — recovery
 //! loads it and replays only WAL entries with `seq >` [`CheckpointDoc::last_seq`].
-//! Cluster payloads reuse the forest store's `⟨ID, SF, TF⟩` encoding
-//! ([`atypical::store::encode_cluster`]).
+//! A cluster in the document is one `⟨ID, SF, TF⟩` row (little-endian;
+//! features in ascending key order, no key twice, SF and TF totals equal):
+//!
+//! ```text
+//! cluster := id u64 | merged u32 | |SF| u32 | |TF| u32
+//!            (sensor u32, severity u64)^|SF|
+//!            (window u32, severity u64)^|TF|
+//! ```
+//!
+//! A checkpoint of any version other than [`CKPT_VERSION`] is a typed
+//! [`CpsError::VersionMismatch`] naming the file.
 
-use atypical::store::{decode_cluster, encode_cluster};
+use atypical::feature::{SpatialFeature, TemporalFeature};
 use atypical::AtypicalCluster;
 use bytes::{Buf, BufMut};
-use cps_core::{AtypicalRecord, CpsError, RecordBatch, Result, Severity, TimeWindow};
+use cps_core::{
+    AtypicalRecord, ClusterId, CpsError, RecordBatch, Result, SensorId, Severity, TimeWindow,
+};
 use cps_storage::crc::crc32;
 use cps_storage::format::{decode_atypical, encode_atypical, RECORD_SIZE};
 use cps_storage::wal::read_wal;
@@ -83,10 +90,6 @@ pub const CKPT_VERSION: u32 = 2;
 /// One logged ingest→worker message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WalOp {
-    /// A lone record routed to the shard. Read only: logs written before
-    /// ingest became batch-only hold these; the service writes
-    /// [`Batch`](Self::Batch) frames.
-    Record(AtypicalRecord),
     /// A window-advance broadcast.
     Advance(TimeWindow),
     /// A whole sub-batch routed to the shard in one frame. The entry's
@@ -119,7 +122,6 @@ impl WalOp {
     /// or a rebalance); record `i` has sequence number `seq + i`.
     pub fn records(&self) -> &[AtypicalRecord] {
         match self {
-            WalOp::Record(record) => std::slice::from_ref(record),
             WalOp::Batch { records, .. } => records,
             WalOp::Advance(_) | WalOp::Rebalance { .. } => &[],
         }
@@ -140,10 +142,6 @@ pub fn encode_entry(seq: u64, op: &WalOp) -> Vec<u8> {
     let mut buf = Vec::with_capacity(9 + RECORD_SIZE);
     buf.put_u64_le(seq);
     match op {
-        WalOp::Record(r) => {
-            buf.put_u8(0);
-            encode_atypical(r, &mut buf);
-        }
         WalOp::Advance(w) => {
             buf.put_u8(1);
             buf.put_u32_le(w.raw());
@@ -211,12 +209,6 @@ pub fn decode_entry(payload: &[u8]) -> Result<WalEntry> {
     let seq = buf.get_u64_le();
     let tag = buf.get_u8();
     let op = match tag {
-        0 => {
-            if buf.remaining() != RECORD_SIZE {
-                return Err(CpsError::corrupt("wal entry", "bad record body length"));
-            }
-            WalOp::Record(decode_atypical(buf))
-        }
         1 => {
             if buf.remaining() != 4 {
                 return Err(CpsError::corrupt("wal entry", "bad advance body length"));
@@ -384,16 +376,20 @@ fn put_opt_window(buf: &mut Vec<u8>, w: Option<TimeWindow>) {
     }
 }
 
-fn get_opt_window(buf: &mut &[u8]) -> Result<Option<TimeWindow>> {
-    if buf.remaining() < 1 {
-        return Err(CpsError::corrupt("checkpoint", "truncated option flag"));
+/// `Corrupt` unless `buf` still holds the `n` bytes of `what`.
+fn need(buf: &[u8], n: usize, what: &str) -> Result<()> {
+    if buf.len() < n {
+        return Err(CpsError::corrupt("checkpoint", format!("truncated {what}")));
     }
+    Ok(())
+}
+
+fn get_opt_window(buf: &mut &[u8]) -> Result<Option<TimeWindow>> {
+    need(buf, 1, "option flag")?;
     match buf.get_u8() {
         0 => Ok(None),
         1 => {
-            if buf.remaining() < 4 {
-                return Err(CpsError::corrupt("checkpoint", "truncated window"));
-            }
+            need(buf, 4, "window")?;
             Ok(Some(TimeWindow::new(buf.get_u32_le())))
         }
         other => Err(CpsError::corrupt(
@@ -411,19 +407,75 @@ fn put_records(buf: &mut Vec<u8>, records: &[AtypicalRecord]) {
 }
 
 fn get_records(buf: &mut &[u8]) -> Result<Vec<AtypicalRecord>> {
-    if buf.remaining() < 4 {
-        return Err(CpsError::corrupt("checkpoint", "truncated record list"));
-    }
-    let n = buf.get_u32_le() as usize;
-    if buf.remaining() < n * RECORD_SIZE {
-        return Err(CpsError::corrupt("checkpoint", "truncated record data"));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(decode_atypical(&buf[..RECORD_SIZE]));
-        buf.advance(RECORD_SIZE);
-    }
+    need(buf, 4, "record list")?;
+    let len = buf.get_u32_le() as usize * RECORD_SIZE;
+    need(buf, len, "record data")?;
+    let out = buf[..len]
+        .chunks_exact(RECORD_SIZE)
+        .map(decode_atypical)
+        .collect();
+    buf.advance(len);
     Ok(out)
+}
+
+/// A `count u32 | count × u32` list.
+fn get_u32s(buf: &mut &[u8], what: &str) -> Result<Vec<u32>> {
+    need(buf, 4, what)?;
+    let n = buf.get_u32_le() as usize;
+    need(buf, n * 4, what)?;
+    Ok((0..n).map(|_| buf.get_u32_le()).collect())
+}
+
+fn encode_cluster(c: &AtypicalCluster, buf: &mut Vec<u8>) {
+    buf.put_u64_le(c.id.raw());
+    buf.put_u32_le(c.merged_count);
+    buf.put_u32_le(c.sf.len() as u32);
+    buf.put_u32_le(c.tf.len() as u32);
+    for (s, sev) in c.sf.iter() {
+        buf.put_u32_le(s.raw());
+        buf.put_u64_le(sev.as_secs());
+    }
+    for (w, sev) in c.tf.iter() {
+        buf.put_u32_le(w.raw());
+        buf.put_u64_le(sev.as_secs());
+    }
+}
+
+fn decode_cluster(buf: &mut &[u8]) -> Result<AtypicalCluster> {
+    need(buf, 20, "cluster header")?;
+    let id = ClusterId::new(buf.get_u64_le());
+    let merged_count = buf.get_u32_le();
+    let sf_len = buf.get_u32_le() as usize;
+    let tf_len = buf.get_u32_le() as usize;
+    need(buf, (sf_len + tf_len) * 12, "feature data")?;
+    let sf: SpatialFeature = (0..sf_len)
+        .map(|_| {
+            let s = SensorId::new(buf.get_u32_le());
+            (s, Severity::from_secs(buf.get_u64_le()))
+        })
+        .collect();
+    let tf: TemporalFeature = (0..tf_len)
+        .map(|_| {
+            let w = TimeWindow::new(buf.get_u32_le());
+            (w, Severity::from_secs(buf.get_u64_le()))
+        })
+        .collect();
+    // Collecting sums repeated keys, which no writer emits.
+    if sf.len() != sf_len || tf.len() != tf_len {
+        return Err(CpsError::corrupt(
+            "checkpoint",
+            format!("cluster {id}: duplicate feature keys"),
+        ));
+    }
+    if sf.total() != tf.total() {
+        return Err(CpsError::corrupt(
+            "checkpoint",
+            format!("cluster {id}: SF/TF totals disagree"),
+        ));
+    }
+    let mut cluster = AtypicalCluster::new(id, sf, tf);
+    cluster.merged_count = merged_count;
+    Ok(cluster)
 }
 
 fn put_clusters(buf: &mut Vec<u8>, clusters: &[AtypicalCluster]) {
@@ -434,15 +486,9 @@ fn put_clusters(buf: &mut Vec<u8>, clusters: &[AtypicalCluster]) {
 }
 
 fn get_clusters(buf: &mut &[u8]) -> Result<Vec<AtypicalCluster>> {
-    if buf.remaining() < 4 {
-        return Err(CpsError::corrupt("checkpoint", "truncated cluster list"));
-    }
-    let n = buf.get_u32_le() as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        out.push(decode_cluster(buf)?);
-    }
-    Ok(out)
+    need(buf, 4, "cluster list")?;
+    let n = buf.get_u32_le();
+    (0..n).map(|_| decode_cluster(buf)).collect()
 }
 
 impl MergerCkpt {
@@ -463,29 +509,20 @@ impl MergerCkpt {
 
     /// Decodes from `buf`, advancing it.
     pub fn decode(buf: &mut &[u8]) -> Result<Self> {
-        if buf.remaining() < 4 {
-            return Err(CpsError::corrupt("checkpoint", "truncated merger state"));
-        }
+        need(buf, 4, "merger state")?;
         let shards = buf.get_u32_le() as usize;
-        let mut progress = Vec::with_capacity(shards);
+        let mut progress = Vec::with_capacity(shards.min(1 << 16));
         for _ in 0..shards {
             let clock = get_opt_window(buf)?;
             let open_floor = get_opt_window(buf)?;
             let boundary_floor = get_opt_window(buf)?;
-            if buf.remaining() < 1 {
-                return Err(CpsError::corrupt("checkpoint", "truncated done flag"));
-            }
+            need(buf, 1, "done flag")?;
             let done = buf.get_u8() != 0;
             progress.push((clock, open_floor, boundary_floor, done));
         }
-        if buf.remaining() < 4 {
-            return Err(CpsError::corrupt("checkpoint", "truncated component count"));
-        }
-        let n = buf.get_u32_le() as usize;
-        let mut components = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            components.push(get_records(buf)?);
-        }
+        need(buf, 4, "component count")?;
+        let n = buf.get_u32_le();
+        let components = (0..n).map(|_| get_records(buf)).collect::<Result<_>>()?;
         Ok(Self {
             progress,
             components,
@@ -519,51 +556,28 @@ impl LiveCkpt {
 
     /// Decodes from `buf`, advancing it.
     pub fn decode(buf: &mut &[u8]) -> Result<Self> {
-        if buf.remaining() < 12 {
-            return Err(CpsError::corrupt("checkpoint", "truncated live state"));
-        }
+        need(buf, 12, "live state")?;
         let next_id = buf.get_u64_le();
         let n_days = buf.get_u32_le() as usize;
         let mut micros_by_day = Vec::with_capacity(n_days.min(1 << 16));
         for _ in 0..n_days {
-            if buf.remaining() < 4 {
-                return Err(CpsError::corrupt("checkpoint", "truncated day bucket"));
-            }
+            need(buf, 4, "day bucket")?;
             let day = buf.get_u32_le();
             micros_by_day.push((day, get_clusters(buf)?));
         }
-        if buf.remaining() < 4 {
-            return Err(CpsError::corrupt("checkpoint", "truncated F-vector count"));
-        }
+        need(buf, 4, "F-vector count")?;
         let n_f = buf.get_u32_le() as usize;
         let mut region_f_by_day = Vec::with_capacity(n_f.min(1 << 16));
         for _ in 0..n_f {
-            if buf.remaining() < 8 {
-                return Err(CpsError::corrupt("checkpoint", "truncated F vector"));
-            }
+            need(buf, 8, "F vector")?;
             let day = buf.get_u32_le();
             let len = buf.get_u32_le() as usize;
-            if buf.remaining() < len * 8 {
-                return Err(CpsError::corrupt("checkpoint", "truncated F values"));
-            }
-            let mut f = Vec::with_capacity(len);
-            for _ in 0..len {
-                f.push(Severity::from_secs(buf.get_u64_le()));
-            }
-            region_f_by_day.push((day, f));
+            need(buf, len * 8, "F values")?;
+            let f = (0..len).map(|_| Severity::from_secs(buf.get_u64_le()));
+            region_f_by_day.push((day, f.collect()));
         }
         let macros = get_clusters(buf)?;
-        if buf.remaining() < 4 {
-            return Err(CpsError::corrupt("checkpoint", "truncated persisted days"));
-        }
-        let n_p = buf.get_u32_le() as usize;
-        if buf.remaining() < n_p * 4 {
-            return Err(CpsError::corrupt("checkpoint", "truncated persisted days"));
-        }
-        let mut persisted_days = Vec::with_capacity(n_p);
-        for _ in 0..n_p {
-            persisted_days.push(buf.get_u32_le());
-        }
+        let persisted_days = get_u32s(buf, "persisted days")?;
         Ok(Self {
             next_id,
             micros_by_day,
@@ -607,29 +621,22 @@ impl CheckpointDoc {
     /// Decodes a document body.
     pub fn decode(mut buf: &[u8]) -> Result<Self> {
         let buf = &mut buf;
-        if buf.remaining() < 8 {
-            return Err(CpsError::corrupt("checkpoint", "truncated header"));
-        }
+        need(buf, 8, "header")?;
         let last_seq = buf.get_u64_le();
         let current_window = get_opt_window(buf)?;
-        if buf.remaining() < 12 {
-            return Err(CpsError::corrupt("checkpoint", "truncated ingest state"));
-        }
+        need(buf, 12, "ingest state")?;
         let ingest_seq = buf.get_u64_le();
         let n_shards = buf.get_u32_le() as usize;
         let mut shards = Vec::with_capacity(n_shards.min(1 << 16));
         for _ in 0..n_shards {
-            if buf.remaining() < 24 {
-                return Err(CpsError::corrupt("checkpoint", "truncated shard state"));
-            }
+            need(buf, 24, "shard state")?;
             let clock = TimeWindow::new(buf.get_u32_le());
             let sealed_sent = buf.get_u64_le();
             let wal_floor = buf.get_u64_le();
-            let n_open = buf.get_u32_le() as usize;
-            let mut open = Vec::with_capacity(n_open.min(1 << 20));
-            for _ in 0..n_open {
-                open.push(get_records(buf)?);
-            }
+            let n_open = buf.get_u32_le();
+            let open = (0..n_open)
+                .map(|_| get_records(buf))
+                .collect::<Result<_>>()?;
             shards.push(ShardCkpt {
                 clock,
                 open,
@@ -639,25 +646,11 @@ impl CheckpointDoc {
         }
         let merger = MergerCkpt::decode(buf)?;
         let live = LiveCkpt::decode(buf)?;
-        if buf.remaining() < 4 {
-            return Err(CpsError::corrupt("checkpoint", "truncated epoch count"));
-        }
-        let n_epochs = buf.get_u32_le() as usize;
-        let mut epochs = Vec::with_capacity(n_epochs.min(1 << 16));
-        for _ in 0..n_epochs {
-            if buf.remaining() < 4 {
-                return Err(CpsError::corrupt("checkpoint", "truncated cut count"));
-            }
-            let n_cuts = buf.get_u32_le() as usize;
-            if buf.remaining() < n_cuts * 4 {
-                return Err(CpsError::corrupt("checkpoint", "truncated cut vector"));
-            }
-            let mut cuts = Vec::with_capacity(n_cuts);
-            for _ in 0..n_cuts {
-                cuts.push(buf.get_u32_le());
-            }
-            epochs.push(cuts);
-        }
+        need(buf, 4, "epoch count")?;
+        let n_epochs = buf.get_u32_le();
+        let epochs = (0..n_epochs)
+            .map(|_| get_u32s(buf, "cut vector"))
+            .collect::<Result<_>>()?;
         if buf.has_remaining() {
             return Err(CpsError::corrupt("checkpoint", "trailing bytes"));
         }
@@ -716,6 +709,7 @@ pub fn load_checkpoint(io: &Io, wal_dir: &Path) -> Result<Option<CheckpointDoc>>
     let version = head.get_u32_le();
     if version != CKPT_VERSION {
         return Err(CpsError::VersionMismatch {
+            context: path.display().to_string(),
             found: version,
             expected: CKPT_VERSION,
         });
@@ -735,8 +729,7 @@ pub fn load_checkpoint(io: &Io, wal_dir: &Path) -> Result<Option<CheckpointDoc>>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atypical::feature::{SpatialFeature, TemporalFeature};
-    use cps_core::{ClusterId, ScratchDir, SensorId};
+    use cps_core::ScratchDir;
     use cps_storage::wal::{SyncPolicy, WalWriter};
 
     fn rec(s: u32, w: u32, secs: u64) -> AtypicalRecord {
@@ -757,12 +750,89 @@ mod tests {
         AtypicalCluster::new(ClusterId::new(id), sf, tf)
     }
 
+    /// A cluster over sensors and windows `base..base + n`.
+    fn cluster_span(id: u64, base: u32, n: u32) -> AtypicalCluster {
+        let sf: SpatialFeature = (base..base + n)
+            .map(|s| (SensorId::new(s), Severity::from_secs(60 + u64::from(s))))
+            .collect();
+        let tf: TemporalFeature = (base..base + n)
+            .map(|w| (TimeWindow::new(w), Severity::from_secs(60 + u64::from(w))))
+            .collect();
+        AtypicalCluster::new(ClusterId::new(id), sf, tf)
+    }
+
+    fn decode_all(mut buf: &[u8]) -> Result<Vec<AtypicalCluster>> {
+        let clusters = get_clusters(&mut buf)?;
+        assert!(buf.is_empty(), "cluster list left {} bytes", buf.len());
+        Ok(clusters)
+    }
+
+    #[test]
+    fn roundtrip_preserves_clusters_exactly() {
+        let mut clusters: Vec<AtypicalCluster> = (0..20)
+            .map(|i| cluster_span(i, (i as u32) * 3, 5))
+            .collect();
+        clusters[7].merged_count = 4;
+        let mut buf = Vec::new();
+        put_clusters(&mut buf, &clusters);
+        assert_eq!(decode_all(&buf).unwrap(), clusters);
+    }
+
+    #[test]
+    fn empty_set_roundtrips() {
+        let mut buf = Vec::new();
+        put_clusters(&mut buf, &[]);
+        assert_eq!(buf.len(), 4);
+        assert!(decode_all(&buf).unwrap().is_empty());
+    }
+
+    #[test]
+    fn truncation_at_every_byte_boundary_is_a_corrupt_error() {
+        let clusters: Vec<AtypicalCluster> =
+            (0..3).map(|i| cluster_span(i, (i as u32) * 4, 4)).collect();
+        let mut full = Vec::new();
+        put_clusters(&mut full, &clusters);
+        for len in 0..full.len() {
+            // A structured Corrupt error — never a panic and never a
+            // silent partial read.
+            match get_clusters(&mut &full[..len]) {
+                Err(CpsError::Corrupt { .. }) => {}
+                Err(other) => panic!("truncation at byte {len}: wrong error kind {other:?}"),
+                Ok(read) => panic!(
+                    "truncation at byte {len} silently read {} cluster(s)",
+                    read.len()
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn cluster_with_duplicate_keys_is_corrupt() {
+        // Sensor 3 twice (60 + 30 s) against one 90 s window: the totals
+        // agree, but no writer emits a key twice.
+        let mut buf = Vec::new();
+        buf.put_u64_le(1);
+        buf.put_u32_le(0);
+        buf.put_u32_le(2);
+        buf.put_u32_le(1);
+        for (key, secs) in [(3u32, 60u64), (3, 30), (7, 90)] {
+            buf.put_u32_le(key);
+            buf.put_u64_le(secs);
+        }
+        match decode_cluster(&mut &buf[..]) {
+            Err(CpsError::Corrupt { context, detail }) => {
+                assert_eq!(context, "checkpoint");
+                assert!(detail.contains("duplicate feature keys"), "{detail}");
+            }
+            other => panic!("duplicate sensor decoded: {other:?}"),
+        }
+    }
+
     #[test]
     fn wal_entry_roundtrip() {
         for (seq, op) in [
-            (1, WalOp::Record(rec(4, 100, 120))),
             (2, WalOp::Advance(TimeWindow::new(101))),
-            (u64::MAX, WalOp::Record(rec(0, 0, 0))),
+            (u64::MAX, WalOp::Advance(TimeWindow::new(0))),
             (
                 3,
                 WalOp::Batch {
@@ -833,9 +903,17 @@ mod tests {
     fn wal_entry_rejects_damage() {
         let buf = encode_entry(9, &WalOp::Advance(TimeWindow::new(5)));
         assert!(decode_entry(&buf[..buf.len() - 1]).is_err());
-        let mut bad_tag = buf.clone();
-        bad_tag[8] = 9;
-        assert!(decode_entry(&bad_tag).is_err());
+        // Tag 0 (a lone record) is no longer a frame kind.
+        for tag in [0, 4, 9] {
+            let mut bad_tag = buf.clone();
+            bad_tag[8] = tag;
+            match decode_entry(&bad_tag) {
+                Err(CpsError::Corrupt { detail, .. }) => {
+                    assert_eq!(detail, format!("unknown tag {tag}"))
+                }
+                other => panic!("tag {tag}: {other:?}"),
+            }
+        }
         assert!(decode_entry(&[]).is_err());
         // Batch body shorter / longer than its count promises.
         let batch = encode_entry(

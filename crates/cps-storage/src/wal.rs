@@ -203,6 +203,7 @@ fn parse_segment(raw: &[u8], seq: u64, context: &str) -> Result<(Vec<Vec<u8>>, b
     let version = head.get_u32_le();
     if version != WAL_VERSION {
         return Err(CpsError::VersionMismatch {
+            context: context.to_string(),
             found: version,
             expected: WAL_VERSION,
         });

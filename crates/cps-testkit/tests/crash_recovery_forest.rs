@@ -3,9 +3,9 @@
 //! assert the store either reports a typed corruption error or recovers a
 //! prefix of day buckets whose clusters equal the clean run's prefix.
 //!
-//! The store writes columnar zone-mapped `.acs` segments (the legacy row
-//! `.acf` format is read-only), so the sweeps cover the segment commit
-//! protocol at every boundary of its write sequence.
+//! The store writes one format, columnar zone-mapped `.acs` segments, so
+//! the sweeps cover the segment commit protocol at every boundary of its
+//! write sequence.
 //!
 //! Three exhaustive sweeps:
 //!

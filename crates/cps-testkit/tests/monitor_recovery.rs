@@ -27,14 +27,12 @@ use atypical::online::OnlineExtractor;
 use atypical::AtypicalCluster;
 use cps_core::{AtypicalRecord, CpsError, Params, RecordBatch, WindowSpec};
 use cps_geo::RoadNetwork;
-use cps_monitor::durability::{
-    checkpoint_path, decode_entry, load_checkpoint, shard_wal_dir, WalEntry, WalOp,
-};
+use cps_monitor::durability::{checkpoint_path, load_checkpoint, shard_wal_dir};
 use cps_monitor::{
     DurabilityConfig, FaultConfig, FsyncPolicy, MonitorConfig, MonitorError, MonitorHandle,
     MonitorService, OverflowPolicy, RecoveryReport, WorkerKill,
 };
-use cps_storage::wal::{list_segments, read_wal, segment_path, WAL_HEADER_SIZE};
+use cps_storage::wal::{list_segments, segment_path, WAL_HEADER_SIZE};
 use cps_storage::Io;
 use cps_testkit::fixtures::{temp_dir, tiny_day};
 use cps_testkit::{canonicalize, Canonical, CrashPlan, OpKind};
@@ -751,105 +749,6 @@ fn recover_rejects_missing_wal_and_shard_mismatch() {
         .err()
         .expect("shard mismatch must be refused");
     assert!(err.contains("shards"), "{err}");
-}
-
-/// Every decoded entry of every shard log under `wal_dir`.
-fn wal_entries(wal_dir: &Path, shards: usize) -> Vec<WalEntry> {
-    let mut entries = Vec::new();
-    for shard in 0..shards {
-        let segments = read_wal(&Io::real(), &shard_wal_dir(wal_dir, shard)).expect("WAL reads");
-        for payload in segments.iter().flat_map(|s| &s.entries) {
-            entries.push(decode_entry(payload).expect("entry decodes"));
-        }
-    }
-    entries
-}
-
-/// A `wal_dir` written before ingest became batch-only still recovers.
-/// The checked-in fixture `fixtures/legacy-wal-tag0` was recorded at the
-/// commit before that change: the first 80 fixture records fed one
-/// `ingest` call each into two shards (checkpoint every 50), so its logs
-/// hold lone-record (tag-0) frames and advances past one checkpoint.
-/// Recovering it and feeding the rest must land in the state a fresh
-/// service reaches on the whole feed, and nothing written from then on
-/// may be a lone-record frame.
-#[test]
-fn legacy_record_frames_still_recover() {
-    const SHARDS: usize = 2;
-    let fx = fixture();
-    let wal_dir = temp_dir("legacy-wal");
-    let fixture_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/legacy-wal-tag0");
-    std::fs::copy(
-        fixture_dir.join("checkpoint.ck"),
-        wal_dir.join("checkpoint.ck"),
-    )
-    .expect("plant checkpoint");
-    for shard in 0..SHARDS {
-        let (from, to) = (
-            shard_wal_dir(&fixture_dir, shard),
-            shard_wal_dir(&wal_dir, shard),
-        );
-        std::fs::create_dir_all(&to).expect("shard dir");
-        for segment in std::fs::read_dir(&from).expect("fixture shard dir") {
-            let segment = segment.expect("dir entry");
-            std::fs::copy(segment.path(), to.join(segment.file_name())).expect("plant segment");
-        }
-    }
-    let legacy = wal_entries(&wal_dir, SHARDS);
-    let legacy_max_seq = legacy
-        .iter()
-        .map(|e| e.seq)
-        .max()
-        .expect("fixture has entries");
-    assert!(
-        legacy.iter().any(|e| matches!(e.op, WalOp::Record(_))),
-        "the fixture must hold lone-record frames"
-    );
-
-    let cfg = config(&fx, SHARDS, &wal_dir, 50);
-    let (mut service, report) =
-        MonitorService::recover(&cfg, fx.network.clone()).expect("legacy log recovers");
-    assert!(report.had_checkpoint);
-    assert!(report.replayed_records > 0, "the suffix holds records");
-    assert_eq!(report.resume_from, 80);
-    // One record per call next, then a restart mid-feed, then batches.
-    assert!(feed(&mut service, &fx.records[80..100]).is_none());
-    service.finish();
-    let (mut service, report) =
-        MonitorService::recover(&cfg, fx.network.clone()).expect("restart recovers");
-    assert_eq!(report.resume_from, 100);
-    let handle = service.handle();
-    service
-        .ingest_batch(&RecordBatch::from_records(&fx.records[100..]))
-        .expect("resumed feed accepted");
-    service.finish();
-
-    let fresh_dir = temp_dir("legacy-wal-fresh");
-    let fresh_cfg = config(&fx, SHARDS, &fresh_dir, 50);
-    let mut fresh = MonitorService::start(&fresh_cfg, fx.network.clone()).expect("service starts");
-    let fresh_handle = fresh.handle();
-    fresh
-        .ingest_batch(&RecordBatch::from_records(&fx.records))
-        .expect("whole feed accepted");
-    fresh.finish();
-    assert_eq!(
-        canonical(&fingerprint(&handle)),
-        canonical(&fingerprint(&fresh_handle)),
-        "recovered legacy log diverged from a fresh batched run"
-    );
-
-    let written: Vec<WalEntry> = wal_entries(&wal_dir, SHARDS)
-        .into_iter()
-        .filter(|e| e.seq > legacy_max_seq)
-        .collect();
-    assert!(
-        written.iter().any(|e| matches!(e.op, WalOp::Batch { .. })),
-        "the resumed feed must have been logged"
-    );
-    assert!(
-        !written.iter().any(|e| matches!(e.op, WalOp::Record(_))),
-        "ingest must no longer write lone-record frames"
-    );
 }
 
 /// The format fuzz feeds this many records one per call, checkpointing

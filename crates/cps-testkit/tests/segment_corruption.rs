@@ -3,7 +3,7 @@
 //! whole file — header, zone-map directory, and every column chunk — and
 //! assert the reader returns a typed error (`Corrupt`, or
 //! `VersionMismatch` for the version word) and never panics or returns
-//! wrong data. Mirrors the legacy row-bucket sweeps on the columnar format.
+//! wrong data. The segment is the store's only bucket format.
 
 use atypical::store::{ForestLevel, ForestStore, CLUSTERS_PER_CHUNK};
 use cps_core::{CpsError, ScratchDir, SensorId};

@@ -52,10 +52,10 @@ CPS_FAULT_SEED=42 cargo test -p cps-testkit -q
 # Crash-recovery gate for the durable monitor under the same fixed seed:
 # the exhaustive every-op-boundary crash sweeps (one record per call AND
 # multi-record batches, including torn batch frames at every byte), the
-# checked-in pre-batch-only WAL fixture, plus
-# the WAL-format fuzz (torn frames at every byte of representative
-# appends, tail repair, segment rotation edge cases in cps-storage's wal
-# unit tests).
+# every-byte flip and truncation fuzz of checkpoint.ck and of sealed and
+# final WAL segments, plus the WAL-format fuzz (torn frames at every byte
+# of representative appends, tail repair, segment rotation edge cases in
+# cps-storage's wal unit tests).
 echo "==> CPS_FAULT_SEED=42 monitor crash-recovery sweeps"
 CPS_FAULT_SEED=42 cargo test -q -p cps-testkit --test monitor_recovery
 CPS_FAULT_SEED=42 cargo test -q -p cps-storage wal
@@ -98,14 +98,15 @@ CPS_FAULT_SEED=42 cargo test -q -p cps-testkit --test domain_profiles
 # Columnar segment gate: the zone-map soundness property suite (pushdown
 # == full-decode-then-filter, with chunks actually skipped), the
 # byte-flip / truncation corruption sweeps over representative segments
-# written by the forest store, the read-only legacy row-bucket migration
-# suite (pinned by the checked-in fixture), and the forest-store crash
-# sweeps — all under the fixed seed so the certified sweep reproduces
-# anywhere.
+# written by the forest store, the one-version table over all four
+# persistent formats (partition, cluster segment, WAL segment,
+# checkpoint: a future version is a typed mismatch naming the file, and
+# `recover` reports it), and the forest-store crash sweeps — all under
+# the fixed seed so the certified sweep reproduces anywhere.
 echo "==> CPS_FAULT_SEED=42 segment differential + corruption sweeps"
 CPS_FAULT_SEED=42 cargo test -q -p cps-testkit \
   --test segment_pushdown --test segment_corruption \
-  --test store_migration --test crash_recovery_forest
+  --test format_versions --test store_migration --test crash_recovery_forest
 
 # Degraded-operation gate under the same fixed seed: the composed chaos
 # matrix (junk feed + transient-EIO burst + WAL latency + worker kill +
